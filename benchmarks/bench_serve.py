@@ -6,7 +6,7 @@ trailing-newline discipline as ``BENCH_summary.json``):
 
 * **direct** -- ``ReachabilityService`` coroutine calls on a live event
   loop: per-query p50/p99 latency and queries/second.  This is the
-  serving ceiling -- validation, cache, telemetry, no socket.
+  serving ceiling -- validation and the index lookup, no socket.
 * **http** -- the same queries as individual ``GET /reachable``
   round-trips over a UNIX-domain socket (keep-alive), plus batched
   ``POST /batch`` throughput.
@@ -22,6 +22,7 @@ bench suite (``pytest benchmarks/bench_serve.py``).
 
 import asyncio
 import random
+import shutil
 import tempfile
 import time
 from pathlib import Path
@@ -57,7 +58,7 @@ async def _bench_engine(graph, engine):
     service = ReachabilityService(
         graph,
         system=SystemConfig(engine=engine),
-        config=ServeConfig(cache_size=4096),
+        config=ServeConfig(),
     )
     build_start = time.perf_counter()
     assert await service.build()
@@ -72,12 +73,15 @@ async def _bench_engine(graph, engine):
         latencies.append(time.perf_counter() - t0)
     direct_elapsed = time.perf_counter() - direct_start
 
-    # HTTP path over a UNIX-domain socket, keep-alive connection.
-    uds = tempfile.mktemp(prefix="repro-bench-", suffix=".sock")
+    # HTTP path over a UNIX-domain socket, keep-alive connection.  The
+    # socket lives in a fresh private directory, so its name cannot be
+    # taken by anyone else between choosing it and binding it.
+    sock_dir = tempfile.mkdtemp(prefix="repro-bench-")
+    uds = str(Path(sock_dir) / "serve.sock")
     server = ServeServer(service, uds=uds)
-    await server.start()
     client = ServeClient(uds=uds)
     try:
+        await server.start()
         http_latencies = []
         http_start = time.perf_counter()
         for u, v in _probes(graph, HTTP_QUERIES, seed=2):
@@ -102,8 +106,7 @@ async def _bench_engine(graph, engine):
     finally:
         await client.close()
         await server.close()
-        if Path(uds).exists():
-            Path(uds).unlink()
+        shutil.rmtree(sock_dir, ignore_errors=True)
 
     return {
         "build_seconds": round(build_seconds, 4),
@@ -122,7 +125,6 @@ async def _bench_engine(graph, engine):
             "p99_us": round(_percentile(http_latencies, 99) * 1e6, 2),
             "batch_qps": round(BATCHES * BATCH_SIZE / batch_elapsed),
         },
-        "cache": service.cache.snapshot(),
     }
 
 
@@ -159,7 +161,7 @@ def test_serve_latency_and_throughput(benchmark):
 
     fast, paged = out["engines"]["fast"], out["engines"]["paged"]
     # The acceptance target: 10k+ qps single-process on the fast engine's
-    # direct path (an in-memory O(k) vector probe plus cache bookkeeping).
+    # direct path (an in-memory O(k) vector probe plus request validation).
     assert fast["direct"]["qps"] >= 10_000
     # Engine choice prices the *build*, not the serving: the frozen
     # index answers at the same order of magnitude on both engines.

@@ -32,15 +32,12 @@ slow-handler           serve request handler          handler awaits ``ms``
                                                       pressure)
 cancelled-request      serve request handler          cancels the in-flight
                                                       request mid-handler
-poisoned-cache-entry   serve result-cache insert      tampers the cached value
-                                                      (checksum left stale, so
-                                                      reads must detect it)
 index-rebuild-crash    serve index (re)build          raises
                                                       ``InjectedRebuildError``
 =====================  =============================  ==========================
 
 The first five are *storage/experiment* sites wired through the engine
-seam; the last four are *serve* sites in :mod:`repro.serve`, above the
+seam; the last three are *serve* sites in :mod:`repro.serve`, above the
 seam -- they work on every engine (see :data:`STORAGE_FAULT_KINDS` /
 :data:`SERVE_FAULT_KINDS`).
 
@@ -50,8 +47,7 @@ Spec grammar (see ``docs/ROBUSTNESS.md``)::
     clause  ::= "seed=" INT | fault ("," param)*
     fault   ::= "corrupt-read" | "evict-storm" | "slow-io"
               | "torn-write"   | "crash-unit"  | "slow-handler"
-              | "cancelled-request" | "poisoned-cache-entry"
-              | "index-rebuild-crash"
+              | "cancelled-request" | "index-rebuild-crash"
     param   ::= "p=" FLOAT      probability per opportunity (seeded RNG)
               | "after=" INT    fire on the Nth opportunity (1-based)
               | "times=" INT    max firings (default 1 with after=,
@@ -99,7 +95,6 @@ class FaultKind(enum.Enum):
     CRASH_UNIT = "crash-unit"
     SLOW_HANDLER = "slow-handler"
     CANCEL_REQUEST = "cancelled-request"
-    POISON_CACHE = "poisoned-cache-entry"
     REBUILD_CRASH = "index-rebuild-crash"
 
 
@@ -107,7 +102,6 @@ SERVE_FAULT_KINDS = frozenset(
     {
         FaultKind.SLOW_HANDLER,
         FaultKind.CANCEL_REQUEST,
-        FaultKind.POISON_CACHE,
         FaultKind.REBUILD_CRASH,
     }
 )

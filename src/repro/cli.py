@@ -604,9 +604,6 @@ def _serve_parser() -> argparse.ArgumentParser:
     service.add_argument("--max-wait-ms", type=float, default=250.0,
                          help="estimated-wait budget before shedding "
                          "(default 250)")
-    service.add_argument("--cache-size", type=int, default=4096,
-                         help="result-cache capacity, 0 disables "
-                         "(default 4096)")
     service.add_argument("--breaker-threshold", type=int, default=3,
                          help="consecutive build failures that trip the "
                          "circuit breaker (default 3)")
@@ -661,7 +658,6 @@ def _serve_command(args: argparse.Namespace) -> int:
             max_concurrency=args.max_concurrency,
             max_queue=args.max_queue,
             max_wait_ms=args.max_wait_ms,
-            cache_size=args.cache_size,
             breaker_threshold=args.breaker_threshold,
             breaker_reset_s=args.breaker_reset,
             build_retries=args.build_retries,

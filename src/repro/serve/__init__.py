@@ -3,10 +3,11 @@
 The serve layer turns the frozen chain-decomposition index
 (:mod:`repro.core.chains`) into a long-running query service with an
 explicit robustness contract -- deadlines, bounded admission with load
-shedding, breaker-guarded index rebuilds with stale-while-revalidate
-degradation, and a checksummed single-flight result cache.  See
-``docs/ROBUSTNESS.md`` ("Serving and degradation modes") for the
-behaviour table, and :mod:`repro.serve.service` for the core.
+shedding, and breaker-guarded index rebuilds with stale-while-revalidate
+degradation.  Answers are computed from the index on every query; there
+is no result cache.  See ``docs/ROBUSTNESS.md`` ("Serving and
+degradation modes") for the behaviour table, and
+:mod:`repro.serve.service` for the core.
 
 Submodules:
 
@@ -17,13 +18,11 @@ Submodules:
 * :mod:`repro.serve.retry` -- the shared deterministic jittered
   exponential backoff (also used by :mod:`repro.experiments.parallel`);
 * :mod:`repro.serve.breaker` -- the three-state circuit breaker;
-* :mod:`repro.serve.cache` -- checksummed LRU with single-flight;
 * :mod:`repro.serve.validate` -- request/probe validation shared with
   the CLIs.
 """
 
 from repro.serve.breaker import BreakerState, CircuitBreaker
-from repro.serve.cache import ResultCache
 from repro.serve.http import ServeClient, ServeServer
 from repro.serve.retry import BackoffPolicy, retry_call
 from repro.serve.service import (
@@ -45,7 +44,6 @@ __all__ = [
     "InvalidRequestError",
     "OverloadedError",
     "ReachabilityService",
-    "ResultCache",
     "ServeClient",
     "ServeConfig",
     "ServeServer",

@@ -18,22 +18,31 @@ Routes::
 Error contract -- every failure is a *structured* JSON answer, never a
 traceback and never a wrong value:
 
-* 400 -- malformed request (bad node id, bad JSON, unknown op)
+* 400 -- malformed request (bad node id, bad JSON, unknown op; a bad
+  ``Content-Length`` or a line over the reader's 64 KiB limit, after
+  which the connection is closed)
 * 404/405 -- unknown path / wrong method
+* 413 -- body over :data:`MAX_REQUEST_BYTES` (connection closed)
 * 503 + ``Retry-After`` -- load shed by bounded admission
 * 503 -- no index available yet (initial build still failing)
 * 504 -- per-request deadline expired (queue wait counts against it)
 
 An injected ``cancelled-request`` fault aborts the one in-flight
 request and drops its connection -- the server itself keeps serving.
+
+A query's deadline runs in the connection's own task
+(``asyncio.timeout``), so no Task is created per request; Python 3.10,
+which lacks ``asyncio.timeout``, falls back to ``asyncio.wait_for``.
 """
 
 from __future__ import annotations
 
 import asyncio
 import json
+import sys
 import time
-from typing import Any
+from collections.abc import Coroutine
+from typing import Any, TypeVar
 from urllib.parse import parse_qs, urlsplit
 
 from repro.errors import InvalidNodeError
@@ -49,6 +58,29 @@ MAX_REQUEST_BYTES = 1 << 20
 """Reject request bodies larger than this (1 MiB): bounded memory."""
 
 _QUERY_ROUTES = {("GET", "/reachable"), ("GET", "/successors"), ("POST", "/batch")}
+
+_T = TypeVar("_T")
+
+if sys.version_info >= (3, 11):
+
+    async def _within(seconds: float, query: Coroutine[Any, Any, _T]) -> _T:
+        """Await ``query`` in the calling task; ``TimeoutError`` after ``seconds``."""
+        async with asyncio.timeout(seconds):
+            return await query
+
+else:
+
+    async def _within(seconds: float, query: Coroutine[Any, Any, _T]) -> _T:
+        """Await ``query`` under ``wait_for`` (a Task per call: 3.10 only)."""
+        return await asyncio.wait_for(query, timeout=seconds)
+
+
+class _RejectedRequest(InvalidRequestError):
+    """A request to answer with ``status`` (detail: ``str()``), then hang up on."""
+
+    def __init__(self, status: int, detail: str) -> None:
+        super().__init__(detail)
+        self.status = status
 
 
 def _first(params: dict[str, list[str]], name: str) -> str | None:
@@ -106,7 +138,15 @@ class ServeServer:
     ) -> None:
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except _RejectedRequest as exc:
+                    self.service.telemetry.bump("invalid_requests")
+                    self._write_response(
+                        writer, exc.status, {"error": str(exc)}, {}, keep_alive=False
+                    )
+                    await writer.drain()
+                    break
                 if request is None:
                     break
                 method, target, headers, body = request
@@ -138,27 +178,50 @@ class ServeServer:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> tuple[str, str, dict[str, str], bytes] | None:
+        """The next request; ``None`` to end the connection without a reply.
+
+        ``None`` means the client has gone or sent no usable request
+        line.  Raises :class:`_RejectedRequest` (400) for a line over
+        the reader's limit or a ``Content-Length`` that is not a
+        non-negative integer, and (413) for a body over
+        :data:`MAX_REQUEST_BYTES`.
+        """
         try:
             request_line = await reader.readline()
-        except (ConnectionResetError, asyncio.IncompleteReadError):
+            if not request_line or not request_line.strip():
+                return None
+            parts = request_line.decode("latin-1").split()
+            if len(parts) < 2:
+                return None
+            method, target = parts[0].upper(), parts[1]
+            headers: dict[str, str] = {}
+            while True:
+                line = await reader.readline()
+                if not line or line in (b"\r\n", b"\n"):
+                    break
+                name, _, value = line.decode("latin-1").partition(":")
+                headers[name.strip().lower()] = value.strip().lower()
+        except ConnectionResetError:
             return None
-        if not request_line or not request_line.strip():
-            return None
-        parts = request_line.decode("latin-1").split()
-        if len(parts) < 2:
-            return None
-        method, target = parts[0].upper(), parts[1]
-        headers: dict[str, str] = {}
-        while True:
-            line = await reader.readline()
-            if not line or line in (b"\r\n", b"\n"):
-                break
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip().lower()
-        length = int(headers.get("content-length", "0") or "0")
+        except ValueError:  # readline(): a line over the reader's limit
+            raise _RejectedRequest(400, "request line or header line too long") from None
+        raw_length = headers.get("content-length", "0") or "0"
+        try:
+            length = int(raw_length)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise _RejectedRequest(
+                400, f"Content-Length must be a non-negative integer, got {raw_length!r}"
+            )
         if length > MAX_REQUEST_BYTES:
-            return None
-        body = await reader.readexactly(length) if length else b""
+            raise _RejectedRequest(
+                413, f"body of {length} bytes exceeds the {MAX_REQUEST_BYTES}-byte limit"
+            )
+        try:
+            body = await reader.readexactly(length) if length else b""
+        except (ConnectionResetError, asyncio.IncompleteReadError):
+            return None  # the client closed mid-body
         return method, target, headers, body
 
     def _write_response(
@@ -170,8 +233,8 @@ class ServeServer:
         keep_alive: bool,
     ) -> None:
         reasons = {200: "OK", 400: "Bad Request", 404: "Not Found",
-                   405: "Method Not Allowed", 503: "Service Unavailable",
-                   504: "Gateway Timeout"}
+                   405: "Method Not Allowed", 413: "Payload Too Large",
+                   503: "Service Unavailable", 504: "Gateway Timeout"}
         body = json.dumps(payload, separators=(",", ":"), sort_keys=True).encode()
         head = [
             f"HTTP/1.1 {status} {reasons.get(status, 'Unknown')}",
@@ -224,9 +287,8 @@ class ServeServer:
                     raise InvalidRequestError(
                         f"deadline_ms must be > 0, got {raw_deadline!r}"
                     )
-            payload = await asyncio.wait_for(
-                self._run_query(path, params, body, deadline_ms),
-                timeout=deadline_ms / 1e3,
+            payload = await _within(
+                deadline_ms / 1e3, self._run_query(path, params, body, deadline_ms)
             )
         except (InvalidNodeError, InvalidRequestError, json.JSONDecodeError) as exc:
             service.telemetry.bump("invalid_requests")

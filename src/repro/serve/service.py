@@ -26,9 +26,10 @@ robustness layer is the point:
   breaker is open, queries are served from the **last-good** index with
   ``degraded: true`` (stale-while-revalidate); the breaker's cool-down
   gates the next probe.
-* **Verified caching.**  Results memoise in a checksummed LRU with
-  single-flight coalescing (:class:`~repro.serve.cache.ResultCache`);
-  poisoned entries are detected and recomputed, never served.
+
+Answers are not memoised: an O(k) lookup in the frozen index costs
+less than checking and filling a result cache would, so every query
+is answered from the index itself.
 
 Telemetry (latency, queue depth, shed/retry/breaker counters) is kept
 per-service and exports both as a ``/stats`` snapshot and as a
@@ -52,7 +53,6 @@ from repro.errors import InjectedRebuildError, ReproError
 from repro.graphs.digraph import Digraph
 from repro.obs.record import RunRecord, system_config_dict
 from repro.serve.breaker import BreakerState, CircuitBreaker
-from repro.serve.cache import ResultCache
 from repro.serve.retry import BackoffPolicy
 from repro.serve.validate import parse_node_id
 
@@ -96,9 +96,6 @@ class ServeConfig:
 
     max_wait_ms: float = 250.0
     """Shed when queue depth x observed mean latency exceeds this."""
-
-    cache_size: int = 4096
-    """LRU result-cache capacity (0 disables caching)."""
 
     breaker_threshold: int = 3
     """Consecutive failed build attempts that trip the breaker."""
@@ -151,6 +148,7 @@ class ServeTelemetry:
     def __init__(self, latency_window: int = 65536) -> None:
         self._counts: dict[str, int] = dict.fromkeys(self.COUNTERS, 0)
         self._latencies: deque[float] = deque(maxlen=latency_window)
+        self._latency_sum = 0.0
         self.queue_depth_peak = 0
 
     def bump(self, name: str, n: int = 1) -> None:
@@ -163,7 +161,11 @@ class ServeTelemetry:
 
     def observe_latency(self, seconds: float) -> None:
         """Record one served request's latency."""
-        self._latencies.append(seconds)
+        window = self._latencies
+        if len(window) == window.maxlen:
+            self._latency_sum -= window[0]  # the sample append() evicts
+        window.append(seconds)
+        self._latency_sum += seconds
 
     def observe_queue_depth(self, depth: int) -> None:
         """Track the high-water mark of the admission queue."""
@@ -171,10 +173,14 @@ class ServeTelemetry:
             self.queue_depth_peak = depth
 
     def mean_latency(self) -> float:
-        """Mean observed latency in seconds (0.0 before any sample)."""
+        """Mean latency over the window in seconds (0.0 before any sample).
+
+        O(1): admission asks for it on every request, so it reads a
+        running sum instead of summing the window.
+        """
         if not self._latencies:
             return 0.0
-        return sum(self._latencies) / len(self._latencies)
+        return self._latency_sum / len(self._latencies)
 
     def latency_percentile(self, pct: float) -> float:
         """The ``pct``-th latency percentile (nearest-rank, seconds)."""
@@ -197,7 +203,7 @@ class ServeTelemetry:
 
 
 class ReachabilityService:
-    """Queries over a breaker-guarded, cache-fronted frozen index."""
+    """Queries over a breaker-guarded frozen index."""
 
     def __init__(
         self,
@@ -218,7 +224,6 @@ class ReachabilityService:
             reset_after=self.config.breaker_reset_s,
             clock=clock,
         )
-        self.cache = ResultCache(self.config.cache_size)
         self.telemetry = ServeTelemetry()
         self.backoff = BackoffPolicy(
             base=self.config.backoff_base_s, max_delay=self.config.backoff_max_s
@@ -283,7 +288,6 @@ class ReachabilityService:
                     await asyncio.sleep(self.backoff.delay(attempt))
                 else:
                     self._index = index
-                    self.cache.clear()
                     self.breaker.record_success()
                     self.telemetry.bump("rebuilds")
                     self.last_build_error = None
@@ -398,24 +402,14 @@ class ReachabilityService:
         src = parse_node_id(u, index.num_nodes, name="u")
         dst = parse_node_id(v, index.num_nodes, name="v")
         await self._handler_faults()
-
-        async def compute() -> bool:
-            return bool(index.reachable(src, dst))
-
-        value = await self.cache.get_or_compute(("r", src, dst), compute)
-        return {"reachable": value, "degraded": self.degraded}
+        return {"reachable": bool(index.reachable(src, dst)), "degraded": self.degraded}
 
     async def successors(self, u: object) -> dict[str, Any]:
         """All nodes reachable from ``u`` plus the ``degraded`` flag."""
         index = self._require_index()
         src = parse_node_id(u, index.num_nodes, name="u")
         await self._handler_faults()
-
-        async def compute() -> list[int]:
-            return list(index.successors(src))
-
-        value = await self.cache.get_or_compute(("s", src), compute)
-        return {"successors": value, "degraded": self.degraded}
+        return {"successors": list(index.successors(src)), "degraded": self.degraded}
 
     async def batch(
         self, queries: list[dict[str, Any]], deadline_at: float | None = None
@@ -458,11 +452,13 @@ class ReachabilityService:
     # -- telemetry export -----------------------------------------------------
 
     def stats(self) -> dict[str, Any]:
-        """The ``/stats`` body: telemetry + cache + breaker + queue."""
+        """The ``/stats`` body: telemetry + breaker + queue."""
         return {
             **self.telemetry.snapshot(),
             "queue_depth": self.queue_depth,
-            "cache": self.cache.snapshot(),
+            # No result cache: zeroed counters keep the snapshot's shape
+            # for its readers (perfbench/serve_zipf.py --trace 1).
+            "cache": {"hits": 0, "misses": 0, "evictions": 0},
             "breaker": self.breaker.snapshot(),
             "state": self.state,
         }

@@ -187,7 +187,7 @@ class FastEngine(StorageEngine):
             self.require(CAP_TRACE, "event tracing needs the simulated pool")
         plan = active_plan()
         if plan is not None and plan.arms_any(STORAGE_FAULT_KINDS):
-            # Serve-site faults (slow-handler, poisoned-cache-entry, ...)
+            # Serve-site faults (slow-handler, cancelled-request, ...)
             # live above the seam and work on every engine; only the
             # storage/experiment sites need the paged substrate.
             self.require(CAP_CHAOS, "the storage fault sites live in the paged substrate")

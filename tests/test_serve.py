@@ -2,12 +2,13 @@
 
 Covers the shared backoff policy (including behaviour-identity with the
 experiment engine's old inline implementation), the circuit breaker,
-the checksummed single-flight cache, request validation, the service's
+request validation, the latency window behind admission, the service's
 admission/deadline/degradation behaviour, and the HTTP front end over
-both TCP and UNIX-domain sockets.
+both TCP and UNIX-domain sockets, including malformed raw requests.
 """
 
 import asyncio
+import json
 import random
 
 import pytest
@@ -18,8 +19,7 @@ from repro.experiments.parallel import DEFAULT_BACKOFF, ExperimentEngine
 from repro.graphs.generator import generate_dag
 from repro.graphs.toposort import reachable_from
 from repro.serve.breaker import BreakerState, CircuitBreaker
-from repro.serve.cache import ResultCache
-from repro.serve.http import ServeClient, ServeServer
+from repro.serve.http import MAX_REQUEST_BYTES, ServeClient, ServeServer
 from repro.serve.retry import (
     DEFAULT_BACKOFF_SEED,
     BackoffPolicy,
@@ -31,6 +31,7 @@ from repro.serve.service import (
     OverloadedError,
     ReachabilityService,
     ServeConfig,
+    ServeTelemetry,
 )
 from repro.serve.validate import parse_node_id, parse_probe
 
@@ -198,73 +199,6 @@ class TestCircuitBreaker:
             CircuitBreaker(reset_after=-1.0)
 
 
-# -- result cache -------------------------------------------------------------
-
-
-class TestResultCache:
-    def test_hit_miss_and_lru_eviction(self):
-        cache = ResultCache(size=2)
-        cache.put("a", 1)
-        cache.put("b", 2)
-        assert cache.get("a") == (True, 1)  # refreshes a's recency
-        cache.put("c", 3)  # evicts b
-        assert cache.get("b") == (False, None)
-        assert cache.get("c") == (True, 3)
-        assert cache.evictions == 1
-
-    def test_poisoned_entry_is_detected_and_dropped(self):
-        cache = ResultCache(size=4)
-        cache.put("k", [1, 2, 3])
-        value, checksum = cache._entries["k"]
-        cache._entries["k"] = ([1, 2, 99], checksum)  # in-place corruption
-        hit, _ = cache.get("k")
-        assert not hit
-        assert cache.poison_detected == 1
-        assert "k" not in cache._entries
-
-    def test_zero_capacity_disables_storage(self):
-        cache = ResultCache(size=0)
-        cache.put("k", 1)
-        assert cache.get("k") == (False, None)
-
-    def test_single_flight_coalesces_concurrent_lookups(self):
-        async def run():
-            cache = ResultCache(size=8)
-            calls = []
-
-            async def supplier():
-                calls.append(1)
-                await asyncio.sleep(0.01)
-                return "value"
-
-            results = await asyncio.gather(
-                *(cache.get_or_compute("k", supplier) for _ in range(5))
-            )
-            assert results == ["value"] * 5
-            assert len(calls) == 1
-            assert cache.coalesced == 4
-
-        asyncio.run(run())
-
-    def test_supplier_failure_propagates_and_caches_nothing(self):
-        async def run():
-            cache = ResultCache(size=8)
-
-            async def boom():
-                raise RuntimeError("compute failed")
-
-            with pytest.raises(RuntimeError):
-                await cache.get_or_compute("k", boom)
-            assert cache.get("k") == (False, None)
-
-            async def fine():
-                return "recovered"
-
-            assert await cache.get_or_compute("k", fine) == "recovered"
-
-        asyncio.run(run())
-
-
 # -- validation ---------------------------------------------------------------
 
 
@@ -288,6 +222,21 @@ class TestValidation:
             parse_probe("34", 10)
         with pytest.raises(InvalidNodeError):
             parse_probe("3:99", 10)
+
+
+# -- telemetry ----------------------------------------------------------------
+
+
+class TestServeTelemetry:
+    def test_mean_latency_is_the_mean_of_the_window(self):
+        telemetry = ServeTelemetry(latency_window=4)
+        assert telemetry.mean_latency() == 0.0
+        samples = [0.001 * (i + 1) ** 1.5 for i in range(10)]
+        for sample in samples:
+            telemetry.observe_latency(sample)
+        assert telemetry.mean_latency() == pytest.approx(
+            sum(samples[-4:]) / 4, rel=0, abs=1e-12
+        )
 
 
 # -- the service --------------------------------------------------------------
@@ -370,13 +319,14 @@ class TestReachabilityService:
 
         asyncio.run(run())
 
-    def test_queries_hit_the_cache(self, graph):
+    def test_repeated_queries_leave_the_cache_counters_at_zero(self, graph):
+        """No result cache: /stats keeps its zeroed ``cache`` counters."""
+
         async def run():
             service = await built_service(graph)
             await service.reachable(0, 90)
             await service.reachable(0, 90)
-            assert service.cache.hits == 1
-            assert service.cache.misses == 1
+            assert service.stats()["cache"] == {"hits": 0, "misses": 0, "evictions": 0}
 
         asyncio.run(run())
 
@@ -566,6 +516,34 @@ class TestHTTPServer:
 
         asyncio.run(run())
 
+    def test_consecutive_deadline_expiries_keep_the_connection(self, graph, monkeypatch):
+        """Two 504s in a row, then a 200, all on one keep-alive connection."""
+
+        async def run():
+            service, server, client = await start_server(graph)
+
+            async def slow_faults():
+                await asyncio.sleep(0.2)
+
+            monkeypatch.setattr(service, "_handler_faults", slow_faults)
+            try:
+                status, _ = await client.reachable(0, 1, deadline_ms=20)
+                assert status == 504
+                connection = client._writer
+                status, _ = await client.reachable(0, 1, deadline_ms=20)
+                assert status == 504
+                monkeypatch.undo()
+                status, payload = await client.reachable(0, 90)
+                assert status == 200
+                assert payload["reachable"] == (90 in reachable_from(graph, [0]))
+                assert client._writer is connection
+                assert service.telemetry.count("deadline_timeouts") == 2
+            finally:
+                await client.close()
+                await server.close()
+
+        asyncio.run(run())
+
     def test_overload_sheds_with_retry_after(self, graph, monkeypatch):
         async def run():
             service, server, client = await start_server(
@@ -630,5 +608,83 @@ class TestHTTPServer:
             finally:
                 await client.close()
                 await server.close()
+
+        asyncio.run(run())
+
+
+async def raw_exchange(port, data):
+    """Send ``data`` then end the stream; the reply's status, headers, body.
+
+    ``(None, {}, None)`` when the server closes without replying.
+    """
+    reader, writer = await asyncio.open_connection("127.0.0.1", port)
+    try:
+        writer.write(data)
+        writer.write_eof()
+        await writer.drain()
+        status_line = await reader.readline()
+        if not status_line:
+            return None, {}, None
+        headers = {}
+        while (line := await reader.readline()) not in (b"\r\n", b""):
+            name, _, value = line.decode("latin-1").partition(":")
+            headers[name.strip().lower()] = value.strip()
+        body = await reader.readexactly(int(headers["content-length"]))
+        return int(status_line.split()[1]), headers, json.loads(body)
+    finally:
+        writer.close()
+        try:
+            await writer.wait_closed()
+        except (ConnectionResetError, BrokenPipeError):
+            pass
+
+
+MALFORMED_REQUESTS = [
+    pytest.param(
+        b"POST /batch HTTP/1.1\r\nContent-Length: abc\r\n\r\n", 400,
+        id="non-numeric-content-length",
+    ),
+    pytest.param(
+        b"POST /batch HTTP/1.1\r\nContent-Length: -5\r\n\r\n", 400,
+        id="negative-content-length",
+    ),
+    pytest.param(
+        b"GET /healthz HTTP/1.1\r\nX-Filler: " + b"a" * (1 << 16) + b"\r\n\r\n", 400,
+        id="header-line-over-the-reader-limit",
+    ),
+    pytest.param(
+        b"POST /batch HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % (MAX_REQUEST_BYTES + 1),
+        413,
+        id="body-over-max-request-bytes",
+    ),
+    pytest.param(
+        b"POST /batch HTTP/1.1\r\nContent-Length: 10\r\n\r\n{}", None,
+        id="body-cut-short-by-the-client",
+    ),
+]
+
+
+class TestMalformedRequests:
+    @pytest.mark.parametrize("raw,expected", MALFORMED_REQUESTS)
+    def test_structured_rejection_and_no_unhandled_exception(self, graph, raw, expected):
+        async def run():
+            loop = asyncio.get_running_loop()
+            unhandled = []
+            loop.set_exception_handler(lambda _loop, context: unhandled.append(context))
+            service, server, client = await start_server(graph)
+            try:
+                status, headers, payload = await raw_exchange(server.port, raw)
+                # The connection is closed; let its task finish.
+                await asyncio.sleep(0.05)
+                assert status == expected
+                if expected is not None:
+                    assert headers["connection"] == "close"
+                    assert "error" in payload
+                # The server keeps answering on a fresh connection.
+                assert (await client.reachable(0, 1))[0] == 200
+            finally:
+                await client.close()
+                await server.close()
+            assert unhandled == []
 
         asyncio.run(run())
