@@ -144,12 +144,21 @@ class InvariantAuditor:
     # -- successor store -----------------------------------------------------
 
     def check_store(self, store: "SuccessorListStore") -> None:
-        """Block structure, per-page accounting and page-directory agreement."""
+        """Block structure, per-page accounting, page directory and page lists."""
         self.checks += 1
+        page_ids = store._page_ids
+        for number, page_id in enumerate(page_ids):
+            if page_id.kind is not store.kind or page_id.number != number:
+                raise InvariantViolation(
+                    "store.page-list",
+                    "a stored page id does not name its own page of this store",
+                    page=number, stored=str(page_id), kind=store.kind.value,
+                )
         used_on_page: dict[int, int] = {}
         nodes_on_page: dict[int, set[int]] = {}
         for node, layout in store._layouts.items():
             total = 0
+            first_seen: dict[int, None] = {}  # the list's pages, first-block order
             for page, used in layout.blocks:
                 if not 1 <= used <= store.block_capacity:
                     raise InvariantViolation(
@@ -158,14 +167,14 @@ class InvariantAuditor:
                         f"{store.block_capacity}",
                         node=node, page=page, used=used,
                     )
-                if not 0 <= page < store._next_page:
+                if not 0 <= page < len(page_ids):
                     raise InvariantViolation(
                         "store.page-range",
                         "block on a page the store never allocated",
-                        node=node, page=page, allocated=store._next_page,
+                        node=node, page=page, allocated=len(page_ids),
                     )
                 used_on_page[page] = used_on_page.get(page, 0) + 1
-                nodes_on_page.setdefault(page, set()).add(node)
+                first_seen[page] = None
                 total += used
             if total != layout.length:
                 raise InvariantViolation(
@@ -173,6 +182,16 @@ class InvariantAuditor:
                     "list length disagrees with the sum of its block fills",
                     node=node, length=layout.length, block_sum=total,
                 )
+            if layout.pages != [page_ids[page] for page in first_seen]:
+                raise InvariantViolation(
+                    "store.page-list",
+                    "cached page list differs from the pages of the list's "
+                    "blocks in first-block order",
+                    node=node, cached=[str(page) for page in layout.pages][:5],
+                    blocks=list(first_seen)[:5],
+                )
+            for page in first_seen:
+                nodes_on_page.setdefault(page, set()).add(node)
         for page, used in used_on_page.items():
             free = store._free_blocks.get(page)
             if free is None or free < 0 or used + free != store.blocks_per_page:

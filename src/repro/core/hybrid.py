@@ -86,14 +86,18 @@ class HybridAlgorithm(TwoPhaseAlgorithm):
             if node in unpinned_lists:
                 return
             for page in ctx.store.pages_of(node):
-                if page not in pinned:
-                    if can_pin:
-                        try:
+                # One reblock may unpin nothing (the victim's pages are
+                # all still needed), so reblock until the pin holds,
+                # reblock() raises, or it discards this list itself.
+                while page not in pinned:
+                    if node in unpinned_lists:
+                        return
+                    try:
+                        if can_pin:
                             ctx.engine.pin_page(page)
-                        except BufferPoolExhaustedError:
-                            reblock()
-                            ctx.engine.pin_page(page)
-                    pinned[page] = None
+                        pinned[page] = None
+                    except BufferPoolExhaustedError:
+                        reblock()
 
         def reblock() -> None:
             """Dynamic reblocking: discard the largest pinned list."""

@@ -13,7 +13,7 @@ The constants below are taken directly from Section 5.1 of the paper:
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.errors import ConfigurationError
 
@@ -64,13 +64,16 @@ class PageKind(enum.Enum):
     __hash__ = object.__hash__
 
 
-@dataclass(frozen=True, slots=True)
-class PageId:
+class PageId(NamedTuple):
     """Identity of a simulated disk page.
 
     ``kind`` names the data structure the page belongs to and ``number``
     is the page's position within that structure.  Two pages are the
     same page if and only if their :class:`PageId` values are equal.
+
+    A tuple, so the hashing and equality every buffer-pool lookup pays
+    run in C; the stores and relations also build each id once and
+    reuse it, so most lookups match on identity.
     """
 
     kind: PageKind

@@ -48,8 +48,6 @@ class ArcRelation:
         index_kind: PageKind = PageKind.INDEX,
     ) -> None:
         self._graph = graph
-        self.kind = kind
-        self.index_kind = index_kind
         # offsets[v] = position of node v's first tuple in the file.
         # The graph's CSR row offsets are exactly this layout (arcs
         # clustered on source, sorted), so the relation shares them
@@ -58,6 +56,10 @@ class ArcRelation:
         self.num_tuples = self._offsets[graph.num_nodes]
         self.num_pages = pages_needed(self.num_tuples, TUPLES_PER_PAGE)
         self.num_index_leaves = pages_needed(graph.num_nodes, INDEX_ENTRIES_PER_PAGE)
+        # Every access charges one of these ids, so each is built once
+        # (the index pages are the leaves, then the root).
+        self._pages = [PageId(kind, n) for n in range(self.num_pages)]
+        self._index_pages = [PageId(index_kind, n) for n in range(self.num_index_leaves + 1)]
 
     # -- layout ------------------------------------------------------------
 
@@ -89,8 +91,8 @@ class ArcRelation:
         Used by full-closure restructuring, which converts every tuple
         to successor-list format in one pass.
         """
-        for number in range(self.num_pages):
-            pool.access(PageId(self.kind, number))
+        for page in self._pages:
+            pool.access(page)
         return self.num_pages
 
     def read_successors(self, node: int, pool: BufferPool, use_index: bool = True) -> list[int]:
@@ -105,7 +107,7 @@ class ArcRelation:
         if use_index:
             self._charge_index(node, pool)
         for number in self.pages_for_node(node):
-            pool.access(PageId(self.kind, number))
+            pool.access(self._pages[number])
         return self._graph.successors(node)
 
     def probe_arcs_unclustered(self, node_arcs: int, pool: BufferPool, seed_position: int) -> None:
@@ -124,15 +126,13 @@ class ArcRelation:
         for step in range(node_arcs):
             # Deterministic scatter across the file (linear congruence).
             number = (seed_position * 2654435761 + step * 40503) % self.num_pages
-            pool.access(PageId(self.kind, number))
+            pool.access(self._pages[number])
 
     # -- internals -----------------------------------------------------------
 
     def _charge_index(self, node: int, pool: BufferPool) -> None:
-        root = PageId(self.index_kind, self.num_index_leaves)
-        pool.access(root)
-        leaf = PageId(self.index_kind, node // INDEX_ENTRIES_PER_PAGE)
-        pool.access(leaf)
+        pool.access(self._index_pages[-1])  # the root
+        pool.access(self._index_pages[node // INDEX_ENTRIES_PER_PAGE])
 
 
 class InverseArcRelation(ArcRelation):

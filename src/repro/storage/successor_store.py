@@ -63,17 +63,15 @@ class ListPlacementPolicy(enum.Enum):
 
 @dataclass
 class _ListLayout:
-    """Where one successor list lives: (page, used-entries) per block."""
+    """Where one successor list lives: (page, used-entries) per block.
+
+    ``pages`` holds the store's id of each distinct page of ``blocks`` in
+    first-block order, kept current as blocks come and go.
+    """
 
     blocks: list[list[int]] = field(default_factory=list)  # [page, used] pairs
+    pages: list[PageId] = field(default_factory=list)
     length: int = 0
-
-    def pages(self) -> list[int]:
-        """Distinct page numbers holding this list, in block order."""
-        seen: dict[int, None] = {}
-        for page, _used in self.blocks:
-            seen[page] = None
-        return list(seen)
 
 
 class SuccessorListStore:
@@ -107,7 +105,7 @@ class SuccessorListStore:
         self._layouts: dict[int, _ListLayout] = {}
         self._free_blocks: dict[int, int] = {}  # page number -> free block slots
         self._lists_on_page: dict[int, set[int]] = {}
-        self._next_page = 0
+        self._page_ids: list[PageId] = []  # page number -> its one PageId
         self._append_page: int | None = None
         self._relocating = False
         self.splits = 0
@@ -125,19 +123,17 @@ class SuccessorListStore:
     def pages_of(self, node: int) -> list[PageId]:
         """The distinct pages holding ``node``'s list, without charging I/O."""
         layout = self._layouts.get(node)
-        if layout is None:
-            return []
-        return [PageId(self.kind, number) for number in layout.pages()]
+        return list(layout.pages) if layout is not None else []
 
     def page_count(self, node: int) -> int:
         """How many pages ``node``'s list spans."""
         layout = self._layouts.get(node)
-        return len(layout.pages()) if layout is not None else 0
+        return len(layout.pages) if layout is not None else 0
 
     @property
     def total_pages(self) -> int:
         """Number of pages the store has allocated so far."""
-        return self._next_page
+        return len(self._page_ids)
 
     # -- lifecycle -------------------------------------------------------------
 
@@ -164,10 +160,9 @@ class SuccessorListStore:
         of the list is requested from the buffer pool.
         """
         layout = self._require(node)
-        pages = layout.pages()
-        for number in pages:
-            self.pool.access(PageId(self.kind, number))
-        return len(pages)
+        for page in layout.pages:
+            self.pool.access(page)
+        return len(layout.pages)
 
     def read_blocks(self, node: int, block_indexes: list[int]) -> int:
         """Touch only the pages covering the given block indexes.
@@ -177,12 +172,12 @@ class SuccessorListStore:
         number of distinct pages touched.
         """
         layout = self._require(node)
-        pages: dict[int, None] = {}
+        pages: dict[PageId, None] = {}
         for index in block_indexes:
             if 0 <= index < len(layout.blocks):
-                pages[layout.blocks[index][0]] = None
-        for number in pages:
-            self.pool.access(PageId(self.kind, number))
+                pages[self._page_ids[layout.blocks[index][0]]] = None
+        for page in pages:
+            self.pool.access(page)
         return len(pages)
 
     def append(self, node: int, count: int) -> None:
@@ -205,6 +200,7 @@ class SuccessorListStore:
         layout = self._require(node)
         self._release_blocks(node, layout)
         layout.blocks = []
+        layout.pages = []
         layout.length = 0
         if new_length:
             self._extend(node, layout, new_length)
@@ -244,12 +240,15 @@ class SuccessorListStore:
                 self._check_torn_write(plan, node, tail[0])
                 tail[1] += take
                 remaining -= take
-                self.pool.access(PageId(self.kind, tail[0]), dirty=True)
+                self.pool.access(self._page_ids[tail[0]], dirty=True)
         while remaining > 0:
             page = self._page_for_new_block(node, layout)
             self._check_torn_write(plan, node, page)
             take = min(self.block_capacity, remaining)
             layout.blocks.append([page, take])
+            page_id = self._page_ids[page]
+            if page_id not in layout.pages:
+                layout.pages.append(page_id)
             self._free_blocks[page] -= 1
             self._lists_on_page.setdefault(page, set()).add(node)
             remaining -= take
@@ -277,7 +276,7 @@ class SuccessorListStore:
         if layout.blocks:
             last_page = layout.blocks[-1][0]
             if self._free_blocks.get(last_page, 0) > 0:
-                self.pool.access(PageId(self.kind, last_page), dirty=True)
+                self.pool.access(self._page_ids[last_page], dirty=True)
                 return last_page
             # The list's page is full: this is a page split.  Relocation
             # is suppressed while already relocating, so a victim's move
@@ -294,7 +293,7 @@ class SuccessorListStore:
                 finally:
                     self._relocating = False
                 if freed:
-                    self.pool.access(PageId(self.kind, last_page), dirty=True)
+                    self.pool.access(self._page_ids[last_page], dirty=True)
                     return last_page
         return self._append_page_for(node)
 
@@ -302,22 +301,18 @@ class SuccessorListStore:
         """The store's shared fill page (allocating a fresh one if full)."""
         page = self._append_page
         if page is None or self._free_blocks.get(page, 0) <= 0:
-            page = self._next_page
-            self._next_page += 1
+            page = len(self._page_ids)
+            self._page_ids.append(PageId(self.kind, page))
             self._free_blocks[page] = self.blocks_per_page
             self._append_page = page
-            self.pool.create(PageId(self.kind, page))
+            self.pool.create(self._page_ids[page])
         else:
-            self.pool.access(PageId(self.kind, page), dirty=True)
+            self.pool.access(self._page_ids[page], dirty=True)
         return page
 
     def _relocate_other_list(self, node: int, page: int) -> bool:
         """Move another list's blocks off ``page``; return whether any moved."""
-        candidates = [
-            other
-            for other in self._lists_on_page.get(page, ())
-            if other != node
-        ]
+        candidates = [other for other in self._lists_on_page[page] if other != node]
         if not candidates:
             return False
         key = self._layouts
@@ -328,8 +323,8 @@ class SuccessorListStore:
         victim_layout = key[victim]
 
         # Read the victim's pages (it must be brought in to be moved)...
-        for number in victim_layout.pages():
-            self.pool.access(PageId(self.kind, number))
+        for page_id in victim_layout.pages:
+            self.pool.access(page_id)
         # ...free its blocks on *this* page and re-allocate them elsewhere.
         moved_entries = 0
         kept_blocks = []
@@ -343,6 +338,7 @@ class SuccessorListStore:
         victim_layout.length -= moved_entries
         self._lists_on_page[page].discard(victim)
         if moved_entries:
+            victim_layout.pages.remove(self._page_ids[page])
             self.relocations += 1
             if self.pool.collector is not None:
                 self.pool.collector.emit(
@@ -354,7 +350,5 @@ class SuccessorListStore:
     def _release_blocks(self, node: int, layout: _ListLayout) -> None:
         for page, _used in layout.blocks:
             self._free_blocks[page] += 1
-        for page in layout.pages():
-            lists = self._lists_on_page.get(page)
-            if lists is not None:
-                lists.discard(node)
+        for page in layout.pages:
+            self._lists_on_page[page.number].discard(node)

@@ -38,6 +38,7 @@ from repro.experiments.queries import QuerySpec
 from repro.obs.record import RunRecord
 from repro.storage.buffer import BufferPool
 from repro.storage.page import PageId, PageKind
+from repro.storage.successor_store import ListPlacementPolicy, SuccessorListStore
 
 
 @pytest.fixture(autouse=True)
@@ -305,6 +306,43 @@ class TestAuditor:
         pool._frames[page].pin_count = 3  # bypass pin(): books disagree now
         with pytest.raises(InvariantViolation, match="pool.pinned-set"):
             InvariantAuditor().check_pool(pool)
+
+    @pytest.mark.parametrize("policy", list(ListPlacementPolicy))
+    def test_store_page_lists_stay_current(self, policy):
+        """Splits, relocations, rewrites and drops keep every cached page
+        list equal to its blocks' pages, checked after each operation."""
+        auditor = InvariantAuditor(strict=True)
+        pool = BufferPool(6, auditor=auditor)  # strict: pool re-checked per eviction
+        store = SuccessorListStore(pool, policy=policy, blocks_per_page=4, block_capacity=3)
+        for node in range(6):
+            store.create_list(node, 5)
+            auditor.check_store(store)
+        for step in range(40):
+            store.append(step % 6, 1 + step % 4)
+            auditor.check_store(store)
+        widest = max(range(6), key=store.page_count)
+        store.rewrite_list(widest, 7)
+        auditor.check_store(store)
+        store.drop_list((widest + 1) % 6)
+        auditor.check_store(store)
+        assert store.splits > 0
+        assert (store.relocations > 0) == (policy is not ListPlacementPolicy.MOVE_SELF)
+        assert any(store.page_count(node) > 1 for node in store._layouts)
+
+    def test_corrupted_page_list_detected(self):
+        store = SuccessorListStore(BufferPool(4), blocks_per_page=2, block_capacity=2)
+        store.create_list(0, 6)  # three blocks over two pages
+        InvariantAuditor().check_store(store)
+        store._layouts[0].pages.reverse()
+        with pytest.raises(InvariantViolation, match="store.page-list"):
+            InvariantAuditor().check_store(store)
+
+    def test_stored_page_id_of_another_page_detected(self):
+        store = SuccessorListStore(BufferPool(4), kind=PageKind.OUTPUT)
+        store.create_list(0, 3)
+        store._page_ids[0] = PageId(PageKind.SUCCESSOR, 0)
+        with pytest.raises(InvariantViolation, match="store.page-list"):
+            InvariantAuditor().check_store(store)
 
     def test_violation_names_invariant_and_context(self):
         error = InvariantViolation("pool.residency", "too many pages",

@@ -88,21 +88,23 @@ class TestBlockingBehaviour:
 
 
 class TestExhaustionCleanup:
-    def test_escaping_exhaustion_leaves_no_pages_pinned(self):
+    def test_escaping_error_leaves_no_pages_pinned(self):
         """Regression: the unpin sweep must run on the exception path.
 
         A broom graph gives the root a closure list far larger than a
-        two-frame pool, so reblocking bottoms out and the
-        BufferPoolExhaustedError escapes ``_expand_block``.  Before the
-        sweep moved into the ``finally`` (RPL008), the abort left the
+        two-frame pool, so the diagonal block keeps pages pinned while
+        it reblocks; an armed corrupt-read fault then escapes
+        ``_expand_block`` with pages still pinned.  Before the sweep
+        moved into the ``finally`` (RPL008), such an abort left the
         diagonal block's pages pinned, silently shrinking the pool for
         whatever ran next in the same process.
         """
         import pytest
 
+        from repro.chaos.faults import FaultPlan, use_fault_plan
         from repro.core.base import Phase
         from repro.core.context import ExecutionContext
-        from repro.errors import BufferPoolExhaustedError
+        from repro.errors import CorruptPageReadError
         from repro.graphs.digraph import Digraph
 
         n = 1600
@@ -122,6 +124,36 @@ class TestExhaustionCleanup:
         ctx.enter_phase(Phase.RESTRUCTURE)
         algo.restructure(ctx)
         ctx.enter_phase(Phase.COMPUTE)
-        with pytest.raises(BufferPoolExhaustedError):
-            algo.compute(ctx)
+
+        pool = ctx.engine.pool
+        access = pool.access
+        pinned_at_fault = []
+
+        def watched_access(page, dirty=False):
+            try:
+                return access(page, dirty)
+            except CorruptPageReadError:
+                pinned_at_fault.append(pool.pinned_count)
+                raise
+
+        pool.access = watched_access
+        with use_fault_plan(FaultPlan.parse("seed=1;corrupt-read,p=0.05")):
+            with pytest.raises(CorruptPageReadError):
+                algo.compute(ctx)
+        assert pinned_at_fault and pinned_at_fault[-1] > 0
         assert ctx.engine.pinned_count == 0
+
+
+class TestRepeatedReblocking:
+    def test_g2_full_closure_at_the_default_pool_matches_bfs(self):
+        """G2 (n=2000) at the default M=20: one reblock can free no
+        frame, and a single retry used to raise BufferPoolExhaustedError."""
+        from repro.graphs.datasets import build_graph
+
+        graph = build_graph("G2", seed=0, scale=1)
+        assert graph.num_nodes == 2000
+        result = HybridAlgorithm().run(graph, system=SystemConfig(engine="paged"))
+        assert result.metrics.reblocking_events > 0
+        oracle = oracle_closure(graph)
+        for node in graph.nodes():
+            assert set(result.successors_of(node)) == oracle[node]

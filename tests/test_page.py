@@ -43,12 +43,24 @@ class TestPageId:
         assert PageId(PageKind.RELATION, 3) != PageId(PageKind.RELATION, 4)
 
     def test_page_id_is_immutable(self):
-        import dataclasses
-
         import pytest
 
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             PageId(PageKind.RELATION, 0).number = 1
+
+    def test_stored_id_is_the_same_pool_key_as_a_fresh_one(self):
+        from repro.storage.buffer import BufferPool
+        from repro.storage.successor_store import SuccessorListStore
+
+        pool = BufferPool(4)
+        store = SuccessorListStore(pool, kind=PageKind.OUTPUT)
+        store.create_list(0, 5)
+        (stored,) = store.pages_of(0)
+        fresh = PageId(PageKind.OUTPUT, 0)
+        assert stored == fresh and hash(stored) == hash(fresh)
+        assert fresh in pool
+        assert pool.access(fresh)  # a hit on the frame the store created
+        assert str(stored) == str(fresh) == "PageId(output:0)"
 
 
 class TestPagesNeeded:
