@@ -45,8 +45,10 @@ class SeminaiveAlgorithm:
 
     name = "seminaive"
     accepts_instrumentation = True
-    """The CLI may pass ``recorder``/``collector`` (but no PageTrace:
-    the baselines never see storage internals, only the seam)."""
+    """The CLI may pass ``recorder``/``collector``, as it does to the
+    two-phase algorithms; a traced run's record then carries a profile
+    like theirs.  The baselines never see storage internals, only the
+    seam."""
 
     def run(
         self,

@@ -67,7 +67,6 @@ from repro.obs.sink import JsonlSink
 from repro.obs.spans import SpanRecorder
 from repro.obs.tracing import TraceCollector, validate_chrome_trace, write_chrome_trace
 from repro.storage.engine import ENGINE_NAMES
-from repro.storage.trace import PageTrace
 
 
 def _build_graph(args: argparse.Namespace) -> Digraph:
@@ -181,6 +180,13 @@ def _run_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _warn_dropped(name: str, dropped: int) -> None:
+    """Say on stderr that ``name``'s trace ring overflowed."""
+    if dropped:
+        print(f"warning: {name}: the trace ring dropped the oldest {dropped} "
+              f"events; --trace-out keeps only the tail", file=sys.stderr)
+
+
 def _run_parallel(args: argparse.Namespace, names: list[str],
                   config: SystemConfig) -> int:
     """Fan the algorithm list across worker processes (``--jobs N``).
@@ -231,6 +237,9 @@ def _run_parallel(args: argparse.Namespace, names: list[str],
             sink.emit(outcome.record)
         if outcome.trace is not None:
             trace_sections.append((name, list(outcome.trace)))
+            # The worker folded its collector into the record's profile.
+            if outcome.record is not None and outcome.record.trace is not None:
+                _warn_dropped(name, outcome.record.trace.get("dropped", 0))
         metrics = outcome.result.metrics
         rows.append(
             {
@@ -308,35 +317,25 @@ def _run_command(args: argparse.Namespace) -> int:
             else:
                 algorithm = make_algorithm(name)
             # Baselines opt into the seam-level instrumentation (spans,
-            # trace events) with `accepts_instrumentation`; only the
-            # registry algorithms take a PageTrace.
-            two_phase = isinstance(algorithm, TwoPhaseAlgorithm)
-            instrumentable = two_phase or getattr(
+            # trace events) with `accepts_instrumentation`.
+            instrumentable = isinstance(algorithm, TwoPhaseAlgorithm) or getattr(
                 algorithm, "accepts_instrumentation", False
             )
 
             for rep in range(args.reps):
                 recorder: SpanRecorder | None = None
-                trace: PageTrace | None = None
                 collector: TraceCollector | None = None
                 if instrument and instrumentable:
                     # Counters are deterministic across reps; one event
                     # stream (the first rep's) describes them all.
                     if args.trace_out is not None and rep == 0:
                         collector = TraceCollector(label=name)
-                        trace = PageTrace() if two_phase else None
                     recorder = SpanRecorder(collector=collector)
 
                 start = time.perf_counter()
                 if recorder is not None:
-                    if two_phase:
-                        result = algorithm.run(graph, query, config,
-                                               recorder=recorder, trace=trace,
-                                               collector=collector)
-                    else:
-                        result = algorithm.run(graph, query, config,
-                                               recorder=recorder,
-                                               collector=collector)
+                    result = algorithm.run(graph, query, config,
+                                           recorder=recorder, collector=collector)
                 else:
                     result = algorithm.run(graph, query, config)
                 wall_seconds = time.perf_counter() - start
@@ -344,13 +343,14 @@ def _run_command(args: argparse.Namespace) -> int:
                 if sink is not None:
                     record = RunRecord.from_result(
                         result, workload=workload, recorder=recorder,
-                        trace=trace, wall_seconds=wall_seconds,
+                        collector=collector, wall_seconds=wall_seconds,
                     )
                     if plan is not None:
                         record.faults = [e.as_dict() for e in plan.drain_events()]
                     sink.emit(record)
                 if collector is not None:
                     trace_sections.append((name, collector.events))
+                    _warn_dropped(name, collector.dropped)
 
             metrics = result.metrics
             rows.append(
@@ -406,19 +406,21 @@ def _profile_parser() -> argparse.ArgumentParser:
 
 def _profile_command(args: argparse.Namespace) -> int:
     recorder = SpanRecorder()
-    trace = PageTrace()
+    # Unbounded, so the profile folds the whole run rather than the
+    # ring's tail.
+    collector = TraceCollector(capacity=sys.maxsize)
     try:
         graph = _build_graph(args)
         query = _build_query(graph, args)
         config = _system_config(args)
         result = make_algorithm(args.algorithm).run(
-            graph, query, config, recorder=recorder, trace=trace
+            graph, query, config, recorder=recorder, collector=collector
         )
     except Exception as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
-    profile = summarise_trace(trace, buckets=args.buckets, top_k=args.top)
+    profile = summarise_trace(collector, buckets=args.buckets, top_k=args.top)
     metrics = result.metrics
     print(f"{args.algorithm}: n={graph.num_nodes} arcs={graph.num_arcs} "
           f"query={query} M={config.buffer_pages}")

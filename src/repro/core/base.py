@@ -38,7 +38,6 @@ from repro.obs.spans import SpanRecorder, span
 from repro.obs.tracing import TraceCollector
 from repro.storage.engine import CAP_PAGE_COSTS, PageId
 from repro.storage.iostats import Phase
-from repro.storage.trace import PageTrace
 
 
 def topological_sort_map(adjacency: dict[int, Sequence[int]]) -> list[int]:
@@ -111,18 +110,17 @@ class TwoPhaseAlgorithm(ABC):
         query: Query | None = None,
         system: SystemConfig | None = None,
         recorder: SpanRecorder | None = None,
-        trace: PageTrace | None = None,
         collector: TraceCollector | None = None,
     ) -> ClosureResult:
         """Execute the algorithm and return the answer plus cost profile.
 
         ``recorder`` (optional) collects nested wall-clock spans for the
-        run and its phases; ``trace`` (optional) records every buffer
-        event with full page identity; ``collector`` (optional) records
-        structured trace events for Chrome-trace export and reports
-        (requires an engine with ``CAP_TRACE``).  All are pure
-        observers: they never change any cost counter, and when omitted
-        the run is exactly the un-instrumented execution.
+        run and its phases; ``collector`` (optional) records structured
+        trace events -- every buffer event with full page identity --
+        for Chrome-trace export, reports and the run profile (requires
+        an engine with ``CAP_TRACE``).  Both are pure observers: they
+        never change any cost counter, and when omitted the run is
+        exactly the un-instrumented execution.
         """
         query = Query.full() if query is None else query
         system = SystemConfig() if system is None else system
@@ -140,7 +138,6 @@ class TwoPhaseAlgorithm(ABC):
             system,
             needs_inverse=self.needs_inverse,
             recorder=recorder,
-            trace=trace,
             collector=collector,
         )
         with span("run", recorder):

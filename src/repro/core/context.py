@@ -22,7 +22,6 @@ from repro.obs.spans import SpanRecorder
 from repro.obs.tracing import TraceCollector
 from repro.storage.engine import CAP_AUDIT, StorageEngine, make_engine
 from repro.storage.iostats import Phase
-from repro.storage.trace import PageTrace
 
 
 class ExecutionContext:
@@ -35,7 +34,6 @@ class ExecutionContext:
         system: SystemConfig,
         needs_inverse: bool = False,
         recorder: SpanRecorder | None = None,
-        trace: PageTrace | None = None,
         collector: TraceCollector | None = None,
     ) -> None:
         self.graph = graph
@@ -43,7 +41,6 @@ class ExecutionContext:
         self.system = system
         self.metrics = MetricSet()
         self.recorder = recorder
-        self.trace = trace
         self.collector = collector
         # The invariant auditor (repro.chaos.audit): None when audit
         # mode is "off", cheap end-of-run checks by default, plus
@@ -56,7 +53,6 @@ class ExecutionContext:
             metrics=self.metrics,
             needs_inverse=needs_inverse,
             recorder=recorder,
-            trace=trace,
             auditor=self.auditor,
             collector=collector,
         )

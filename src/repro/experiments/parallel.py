@@ -161,9 +161,9 @@ class WorkUnit:
     source_seed: int | None = None
     workload: tuple[tuple[str, Any], ...] = ()
     collect_trace: bool = False
-    """Instrument the run (spans + page trace + event collector) exactly
-    like the serial ``--trace-out`` path, and ship the trace events back
-    on :attr:`UnitOutcome.trace`."""
+    """Instrument the run (spans + event collector) exactly like the
+    serial ``--trace-out`` path, and ship the trace events back on
+    :attr:`UnitOutcome.trace`."""
 
     def describe(self) -> dict[str, Any]:
         """A JSON-safe identity for error records."""
@@ -204,8 +204,8 @@ class UnitOutcome:
     record: RunRecord | None = None
     error: UnitError | None = None
     trace: tuple[TraceEventRecord, ...] | None = None
-    """The unit's trace events (``collect_trace`` units only); frozen
-    records are picklable, so they cross the process boundary intact."""
+    """The unit's trace events (``collect_trace`` units only); the
+    records are plain tuples, so they cross the process boundary intact."""
 
     @property
     def ok(self) -> bool:
@@ -340,13 +340,12 @@ def execute_unit(unit: WorkUnit, timeout: float | None, attempt: int = 1,
         graph = _cached_graph(unit.graph)
         query = unit.query.materialise(graph, unit.sample_index, seed=unit.source_seed)
         algorithm = _make_runner(unit.algorithm)
-        recorder = trace = collector = None
+        recorder = collector = None
         if unit.collect_trace:
             # Mirror the serial --trace-out instrumentation exactly, so
             # a --jobs N trace merges to the same event stream.
             from repro.core.base import TwoPhaseAlgorithm
             from repro.obs.spans import SpanRecorder
-            from repro.storage.trace import PageTrace
 
             instrumentable = isinstance(algorithm, TwoPhaseAlgorithm) or getattr(
                 algorithm, "accepts_instrumentation", False
@@ -354,18 +353,11 @@ def execute_unit(unit: WorkUnit, timeout: float | None, attempt: int = 1,
             if instrumentable:
                 collector = TraceCollector(label=unit.algorithm)
                 recorder = SpanRecorder(collector=collector)
-                if isinstance(algorithm, TwoPhaseAlgorithm):
-                    trace = PageTrace()
         with _unit_guard(timeout) as check_deadline:
             start = time.perf_counter()
             if collector is not None:
-                if trace is not None:
-                    result = algorithm.run(graph, query, unit.system,
-                                           recorder=recorder, trace=trace,
-                                           collector=collector)
-                else:
-                    result = algorithm.run(graph, query, unit.system,
-                                           recorder=recorder, collector=collector)
+                result = algorithm.run(graph, query, unit.system,
+                                       recorder=recorder, collector=collector)
             else:
                 result = algorithm.run(graph, query, unit.system)
             wall_seconds = time.perf_counter() - start
@@ -385,7 +377,7 @@ def execute_unit(unit: WorkUnit, timeout: float | None, attempt: int = 1,
     workload = dict(unit.workload) or {"nodes": graph.num_nodes, "arcs": graph.num_arcs}
     outcome.result = result
     outcome.record = RunRecord.from_result(result, workload=workload, recorder=recorder,
-                                           trace=trace, wall_seconds=wall_seconds)
+                                           collector=collector, wall_seconds=wall_seconds)
     if collector is not None:
         outcome.trace = tuple(collector.events)
     if plan is not None:

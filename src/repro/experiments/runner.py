@@ -47,7 +47,6 @@ from repro.obs.record import RunRecord
 from repro.obs.sink import RunSink, get_global_sink
 from repro.obs.spans import SpanRecorder
 from repro.storage.iostats import Phase
-from repro.storage.trace import PageTrace
 
 
 def run_single(
@@ -59,7 +58,6 @@ def run_single(
     workload: dict[str, Any] | None = None,
     sink: RunSink | None = None,
     recorder: SpanRecorder | None = None,
-    trace: PageTrace | None = None,
 ) -> ClosureResult:
     """Run one algorithm once on one graph with one drawn query.
 
@@ -78,7 +76,7 @@ def run_single(
     for _rep in range(bench_reps()):
         start = time.perf_counter()
         result = make_algorithm(algorithm).run(
-            graph, query, system or SystemConfig(), recorder=recorder, trace=trace
+            graph, query, system or SystemConfig(), recorder=recorder
         )
         wall_seconds = time.perf_counter() - start
 
@@ -90,7 +88,6 @@ def run_single(
                 result,
                 workload=workload,
                 recorder=recorder,
-                trace=trace,
                 wall_seconds=wall_seconds,
             )
             if sink is not None:

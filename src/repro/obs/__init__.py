@@ -8,7 +8,7 @@ durable.  See ``docs/OBSERVABILITY.md`` for the full guide.
   by path, free when not attached;
 * :mod:`repro.obs.record` -- :class:`RunRecord`, the JSON-serialisable
   description of one run (workload, config, metrics, per-phase I/O,
-  spans, optional page-trace profile);
+  spans, optional profile folded from a collector's page events);
 * :mod:`repro.obs.sink` -- JSONL / memory / null sinks plus the
   ``REPRO_OBS`` environment toggle and a process-wide sink;
 * :mod:`repro.obs.compare` -- the noise-aware baseline-vs-candidate

@@ -6,8 +6,9 @@ credible performance claim needs: the workload parameters, the
 :class:`~repro.metrics.counters.MetricSet` including the per-phase and
 per-page-kind I/O breakdowns of :class:`~repro.storage.iostats.IoStats`,
 the span timings of an attached
-:class:`~repro.obs.spans.SpanRecorder`, and (optionally) a summary of a
-:class:`~repro.storage.trace.PageTrace`: the buffer-pool hit-ratio
+:class:`~repro.obs.spans.SpanRecorder`, and (optionally) a profile
+folded from the page events of a
+:class:`~repro.obs.tracing.TraceCollector`: the buffer-pool hit-ratio
 timeline, the per-:class:`~repro.storage.page.PageKind` access
 histogram, and the hottest pages.
 
@@ -25,9 +26,9 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
 
 from repro.obs.spans import SpanRecorder
+from repro.obs.tracing import EV_PAGE_CREATE, EV_PAGE_FETCH, EV_PAGE_HIT, TraceCollector
 from repro.storage.engine import PageKind
 from repro.storage.iostats import IoStats, Phase
-from repro.storage.trace import PageTrace, TraceEvent
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.result import ClosureResult
@@ -38,7 +39,7 @@ SCHEMA_VERSION = 2
 Version history:
 
 * **1** -- the original layout; ``trace`` always present (``null``
-  when no page trace was attached).
+  when the run was not traced).
 * **2** -- ``trace`` is omitted entirely when no trace was collected,
   matching the ``faults`` behaviour.  Version-1 records load
   unchanged (an explicit ``"trace": null`` reads back as ``None``).
@@ -108,52 +109,54 @@ def query_dict(query: Any) -> dict[str, Any]:
 
 
 def summarise_trace(
-    trace: PageTrace, buckets: int = 20, top_k: int = 10
+    collector: TraceCollector, buckets: int = 20, top_k: int = 10
 ) -> dict[str, Any]:
-    """Condense a :class:`PageTrace` into a JSON-sized profile.
+    """Fold a collector's page events into a JSON-sized profile.
 
-    Returns the hit-ratio timeline (the request stream split into at
+    The request stream is the ``page.hit``/``page.fetch`` events in
+    order.  It gives the hit-ratio timeline (the stream split into at
     most ``buckets`` equal chunks), the per-kind request histogram, and
-    the ``top_k`` most-requested pages (only available when the trace
-    was recorded by a :class:`~repro.storage.trace.TracedPool`, which
-    captures full page identities).
+    the ``top_k`` most-requested pages.  ``events`` counts a hit or a
+    create as one buffer event and a fetch as two (the miss and its
+    physical read).  When the collector's ring overflowed, ``dropped``
+    says how many of the oldest events the profile does not cover.
     """
-    requests = [
-        record
-        for record in trace.records
-        if record.event in (TraceEvent.REQUEST_HIT, TraceEvent.REQUEST_MISS)
-    ]
+    hits = bytearray()
+    histogram: Counter[str | None] = Counter()
+    pages: Counter[str] = Counter()
+    creates = 0
+    for event in collector:
+        name = event.name
+        if name == EV_PAGE_HIT or name == EV_PAGE_FETCH:
+            hits.append(name == EV_PAGE_HIT)
+            histogram[event.kind] += 1
+            pages[f"{event.kind}:{event.page}"] += 1
+        elif name == EV_PAGE_CREATE:
+            creates += 1
 
+    requests = len(hits)
     timeline: list[float] = []
     if requests:
-        buckets = max(1, min(buckets, len(requests)))
-        per_bucket = len(requests) / buckets
+        buckets = max(1, min(buckets, requests))
+        per_bucket = requests / buckets
         for index in range(buckets):
-            chunk = requests[round(index * per_bucket) : round((index + 1) * per_bucket)]
-            if not chunk:
-                continue
-            hits = sum(1 for r in chunk if r.event is TraceEvent.REQUEST_HIT)
-            timeline.append(round(hits / len(chunk), 4))
+            chunk = hits[round(index * per_bucket) : round((index + 1) * per_bucket)]
+            if chunk:
+                timeline.append(round(sum(chunk) / len(chunk), 4))
 
-    histogram: Counter[str] = Counter(r.kind.value for r in requests)
-
-    pages: Counter[str] = Counter(
-        f"{r.kind.value}:{r.page_number}"
-        for r in requests
-        if r.page_number is not None
-    )
-    hot_pages = [
-        {"page": page, "requests": count}
-        for page, count in pages.most_common(top_k)
-    ]
-
-    return {
-        "events": len(trace),
-        "requests": len(requests),
+    profile: dict[str, Any] = {
+        "events": 2 * requests - sum(hits) + creates,
+        "requests": requests,
         "hit_ratio_timeline": timeline,
         "kind_histogram": dict(histogram),
-        "hot_pages": hot_pages,
+        "hot_pages": [
+            {"page": page, "requests": count}
+            for page, count in pages.most_common(top_k)
+        ],
     }
+    if collector.dropped:
+        profile["dropped"] = collector.dropped
+    return profile
 
 
 def metric_set_dict(metrics: Any) -> dict[str, Any]:
@@ -187,7 +190,7 @@ class RunRecord:
         result: "ClosureResult",
         workload: dict[str, Any] | None = None,
         recorder: SpanRecorder | None = None,
-        trace: PageTrace | None = None,
+        collector: TraceCollector | None = None,
         wall_seconds: float | None = None,
     ) -> "RunRecord":
         """Build a record from a finished :class:`ClosureResult`.
@@ -195,6 +198,8 @@ class RunRecord:
         ``workload`` identifies the input graph (family, scale, seed,
         node/arc counts ...); it is what :mod:`repro.obs.compare` keys
         cells on, together with the algorithm and the query shape.
+        The record carries a ``trace`` profile exactly when the run had
+        a ``collector``.
         """
         if wall_seconds is None and recorder is not None:
             wall_seconds = recorder.total_seconds("run")
@@ -214,7 +219,7 @@ class RunRecord:
             system=system_config_dict(result.system),
             metrics=metrics,
             spans=recorder.as_dict() if recorder is not None else {},
-            trace=summarise_trace(trace) if trace is not None else None,
+            trace=summarise_trace(collector) if collector is not None else None,
             wall_seconds=round(wall_seconds or 0.0, 6),
         )
 
@@ -253,7 +258,7 @@ class RunRecord:
 
         ``faults`` is omitted when empty, so records of fault-free runs
         serialise byte-identically to the pre-chaos schema; ``trace``
-        is likewise omitted when no page trace was collected (schema
+        is likewise omitted when the run was not traced (schema
         version 2).
         """
         data = dataclasses.asdict(self)

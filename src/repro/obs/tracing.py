@@ -1,13 +1,14 @@
 """Structured event tracing at the storage-engine seam.
 
-Where :class:`repro.storage.trace.PageTrace` records buffer-manager
-events for *analysis inside a test*, this module records them for
-*export*: a :class:`TraceCollector` is a ring buffer of structured
-events -- page traffic, block maintenance, delta spool/scan markers
-and span boundaries -- that can be serialised to Chrome trace-event
-JSON (loadable in ``chrome://tracing`` and https://ui.perfetto.dev)
-or aggregated into heatmaps (:mod:`repro.obs.heatmap`) and HTML run
-reports (:mod:`repro.obs.report`).
+A :class:`TraceCollector` is the one recording of buffer-manager
+events: a ring buffer of structured events -- page traffic, block
+maintenance, delta spool/scan markers and span boundaries -- that can
+be serialised to Chrome trace-event JSON (loadable in
+``chrome://tracing`` and https://ui.perfetto.dev), aggregated into
+heatmaps (:mod:`repro.obs.heatmap`) and HTML run reports
+(:mod:`repro.obs.report`), or folded into the run profile of a
+:class:`~repro.obs.record.RunRecord`
+(:func:`~repro.obs.record.summarise_trace`).
 
 Tracing is a *capability* of the engine seam: only engines that
 advertise ``CAP_TRACE`` (the paged substrate) accept a collector; the
@@ -40,9 +41,9 @@ from __future__ import annotations
 
 import json
 from collections import Counter, deque
-from dataclasses import dataclass
+from collections.abc import Iterator
 from time import perf_counter
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable, NamedTuple, Sequence
 
 __all__ = [
     "EV_PAGE_HIT",
@@ -108,14 +109,14 @@ EVENT_NAMES = frozenset(
 PAGE_TOUCH_EVENTS = frozenset({EV_PAGE_HIT, EV_PAGE_FETCH, EV_PAGE_CREATE})
 
 
-@dataclass(frozen=True)
-class TraceEventRecord:
+class TraceEventRecord(NamedTuple):
     """One structured trace event.
 
     ``ts`` is seconds since the collector was created (monotonic).
     ``phase`` is the execution phase the engine was in when the event
     fired (``"restructure"``, ``"compute"``, ``"writeout"`` or ``""``
-    before the first phase transition).
+    before the first phase transition).  A plain tuple: cheap to build
+    on every emit, and picklable for ``--jobs`` workers.
     """
 
     seq: int
@@ -141,9 +142,13 @@ class TraceCollector:
 
     The buffer is a ring: once ``capacity`` events are held, each new
     event evicts the oldest and increments :attr:`dropped`.  The
-    default capacity comfortably holds the full event stream of every
-    paper-scale cell; the bound exists so a runaway workload degrades
-    to losing history instead of memory.
+    default capacity does *not* hold every paper-scale cell: Hybrid's
+    full closure at M=20 emits 1.73 M events on G9 and 5.35 M on G12
+    (BTC: 0.22 M and 0.23 M).  The bound exists so a runaway workload
+    degrades to losing history instead of memory; ``--trace-out`` says
+    on stderr when a ring dropped events, and the run profile carries
+    a ``dropped`` count.  ``repro profile`` passes an unbounded
+    capacity (``sys.maxsize``) so its profile covers the whole run.
     """
 
     DEFAULT_CAPACITY = 1_000_000
@@ -192,6 +197,9 @@ class TraceCollector:
 
     def __len__(self) -> int:
         return len(self._events)
+
+    def __iter__(self) -> Iterator[TraceEventRecord]:
+        return iter(self._events)
 
     def counts(self) -> Counter[str]:
         """Event counts by name (golden-test fodder)."""

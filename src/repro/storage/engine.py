@@ -63,7 +63,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only (avoids import cycles)
     from repro.metrics.counters import MetricSet
     from repro.obs.spans import SpanRecorder
     from repro.obs.tracing import TraceCollector
-    from repro.storage.trace import PageTrace
 
 __all__ = [
     # Page vocabulary, re-exported so algorithm code can name page
@@ -114,9 +113,9 @@ CAP_AUDIT = "audit"
 """The invariant auditor can inspect this engine's substrate state."""
 
 CAP_TRACE = "trace"
-"""Page-identity tracing: a :class:`~repro.storage.trace.PageTrace` and/or
-a structured :class:`~repro.obs.tracing.TraceCollector` can record the
-engine's page, block and delta events."""
+"""Event tracing: a :class:`~repro.obs.tracing.TraceCollector` can record
+the engine's page events (with full page identity), block and delta
+events."""
 
 
 _default: str | None = None  # process-wide override; None = env / "paged"
@@ -339,13 +338,12 @@ def make_engine(
     metrics: "MetricSet",
     needs_inverse: bool = False,
     recorder: "SpanRecorder | None" = None,
-    trace: "PageTrace | None" = None,
     auditor: "InvariantAuditor | None" = None,
     collector: "TraceCollector | None" = None,
 ) -> StorageEngine:
     """Build the engine named by ``system.engine`` for one run.
 
-    ``recorder``, ``trace``, ``auditor`` and ``collector`` are the
+    ``recorder``, ``auditor`` and ``collector`` are the
     observability planes; engines that cannot honour an *explicitly
     requested* plane refuse at construction time (capability hooks)
     rather than running blind.
@@ -360,7 +358,6 @@ def make_engine(
             metrics=metrics,
             needs_inverse=needs_inverse,
             recorder=recorder,
-            trace=trace,
             auditor=auditor,
             collector=collector,
         )
@@ -373,7 +370,6 @@ def make_engine(
             metrics=metrics,
             needs_inverse=needs_inverse,
             recorder=recorder,
-            trace=trace,
             auditor=auditor,
             collector=collector,
         )

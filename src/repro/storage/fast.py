@@ -9,12 +9,12 @@ stay at zero.  This is the backend for differential testing, the
 :mod:`repro.api` query path, and serving workloads where the paper's
 cost model is irrelevant and runtime is not.
 
-Capability honesty: the chaos fault plane, page tracing, and substrate
+Capability honesty: the chaos fault plane, event tracing, and substrate
 auditing all live in the paged structures this engine does not have.
 Rather than silently no-op'ing, construction fails with a structured
 :class:`~repro.errors.EngineCapabilityError` whenever one of those
-planes was *explicitly requested* (a fault plan is armed, a trace is
-attached, or ``--audit``/``REPRO_AUDIT`` was set).  The implicit
+planes was *explicitly requested* (a fault plan is armed, a trace
+collector is attached, or ``--audit``/``REPRO_AUDIT`` was set).  The implicit
 default ("cheap" auditing) simply detaches: there is no paged
 substrate to check, so no auditor is constructed and
 :meth:`FastEngine.audit` is a no-op.  Parity with
@@ -47,7 +47,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.metrics.counters import MetricSet
     from repro.obs.spans import SpanRecorder
     from repro.obs.tracing import TraceCollector
-    from repro.storage.trace import PageTrace
 
 
 _ABSENT = -1
@@ -176,13 +175,10 @@ class FastEngine(StorageEngine):
         metrics: "MetricSet",
         needs_inverse: bool = False,
         recorder: "SpanRecorder | None" = None,
-        trace: "PageTrace | None" = None,
         auditor: "InvariantAuditor | None" = None,
         collector: "TraceCollector | None" = None,
     ) -> None:
         # Refuse explicitly requested planes this engine cannot honour.
-        if trace is not None:
-            self.require(CAP_TRACE, "page tracing needs the simulated pool")
         if collector is not None:
             self.require(CAP_TRACE, "event tracing needs the simulated pool")
         plan = active_plan()

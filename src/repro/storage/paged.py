@@ -12,7 +12,7 @@ bit-identical to the pre-seam substrate.
 
 This engine supports every capability: page costs, pinning, chaos
 fault injection (the fault sites live in the pool and the store),
-invariant auditing, and page tracing.
+invariant auditing, and event tracing.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from repro.storage.engine import (
 from repro.storage.page import PageId, PageKind
 from repro.storage.relation import ArcRelation, InverseArcRelation
 from repro.storage.successor_store import ListPlacementPolicy, SuccessorListStore
-from repro.storage.trace import TracedPool
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.chaos.audit import InvariantAuditor
@@ -41,7 +40,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.metrics.counters import MetricSet
     from repro.obs.spans import SpanRecorder
     from repro.obs.tracing import TraceCollector
-    from repro.storage.trace import PageTrace
 
 # SuccessorListStore predates the seam and conforms structurally.
 ListStore.register(SuccessorListStore)
@@ -63,7 +61,6 @@ class PagedEngine(StorageEngine):
         metrics: "MetricSet",
         needs_inverse: bool = False,
         recorder: "SpanRecorder | None" = None,
-        trace: "PageTrace | None" = None,
         auditor: "InvariantAuditor | None" = None,
         collector: "TraceCollector | None" = None,
     ) -> None:
@@ -72,26 +69,14 @@ class PagedEngine(StorageEngine):
         self.metrics = metrics
         self._auditor = auditor
         self.collector = collector
-        policy = make_policy(system.page_policy, seed=system.policy_seed)
-        if trace is not None:
-            self.pool: BufferPool = TracedPool(
-                system.buffer_pages,
-                trace,
-                stats=metrics.io,
-                policy=policy,
-                recorder=recorder,
-                auditor=auditor,
-                collector=collector,
-            )
-        else:
-            self.pool = BufferPool(
-                system.buffer_pages,
-                stats=metrics.io,
-                policy=policy,
-                recorder=recorder,
-                auditor=auditor,
-                collector=collector,
-            )
+        self.pool = BufferPool(
+            system.buffer_pages,
+            stats=metrics.io,
+            policy=make_policy(system.page_policy, seed=system.policy_seed),
+            recorder=recorder,
+            auditor=auditor,
+            collector=collector,
+        )
         self.relation = ArcRelation(graph)
         self.inverse_relation: InverseArcRelation | None = (
             InverseArcRelation(graph) if needs_inverse else None

@@ -19,7 +19,7 @@ from repro.obs.sink import (
     set_global_sink,
 )
 from repro.obs.spans import NULL_SPAN, SpanRecorder, span
-from repro.storage.trace import PageTrace
+from repro.obs.tracing import TraceCollector
 
 
 class TestSpans:
@@ -73,22 +73,22 @@ class TestSpans:
 @pytest.fixture
 def instrumented_run(small_dag):
     recorder = SpanRecorder()
-    trace = PageTrace()
+    collector = TraceCollector()
     result = make_algorithm("btc").run(
         small_dag,
         Query.ptc([0, 1, 2]),
         SystemConfig(buffer_pages=10),
         recorder=recorder,
-        trace=trace,
+        collector=collector,
     )
-    return result, recorder, trace
+    return result, recorder, collector
 
 
 class TestRunRecord:
     def test_from_result_captures_everything(self, instrumented_run):
-        result, recorder, trace = instrumented_run
+        result, recorder, collector = instrumented_run
         record = RunRecord.from_result(
-            result, workload={"name": "small_dag"}, recorder=recorder, trace=trace
+            result, workload={"name": "small_dag"}, recorder=recorder, collector=collector
         )
         assert record.algorithm == "btc"
         assert record.query == {"kind": "ptc", "selectivity": 3}
@@ -102,7 +102,7 @@ class TestRunRecord:
         assert record.wall_seconds > 0  # taken from the "run" span
 
     def test_json_roundtrip(self, instrumented_run):
-        result, recorder, trace = instrumented_run
+        result, recorder, _ = instrumented_run
         record = RunRecord.from_result(result, workload={"n": 60}, recorder=recorder)
         line = record.to_json()
         assert "\n" not in line
@@ -141,9 +141,10 @@ class TestRunRecord:
 
 class TestTraceSummary:
     def test_summary_fields(self, instrumented_run):
-        _, _, trace = instrumented_run
-        summary = summarise_trace(trace, buckets=5, top_k=3)
+        _, _, collector = instrumented_run
+        summary = summarise_trace(collector, buckets=5, top_k=3)
         assert summary["requests"] > 0
+        assert "dropped" not in summary
         assert 1 <= len(summary["hit_ratio_timeline"]) <= 5
         assert all(0.0 <= r <= 1.0 for r in summary["hit_ratio_timeline"])
         assert sum(summary["kind_histogram"].values()) == summary["requests"]
@@ -151,7 +152,8 @@ class TestTraceSummary:
         assert summary["hot_pages"][0]["requests"] >= summary["hot_pages"][-1]["requests"]
 
     def test_empty_trace(self):
-        summary = summarise_trace(PageTrace())
+        summary = summarise_trace(TraceCollector())
+        assert summary["events"] == 0
         assert summary["requests"] == 0
         assert summary["hit_ratio_timeline"] == []
         assert summary["hot_pages"] == []
@@ -310,7 +312,7 @@ class TestZeroOverheadGuard:
         system = SystemConfig(buffer_pages=10)
         plain = make_algorithm(name).run(small_dag, query, system)
         instrumented = make_algorithm(name).run(
-            small_dag, query, system, recorder=SpanRecorder(), trace=PageTrace()
+            small_dag, query, system, recorder=SpanRecorder(), collector=TraceCollector()
         )
 
         def counters(result):

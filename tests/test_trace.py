@@ -1,117 +1,124 @@
-"""Tests for page-access tracing and the access patterns it reveals."""
+"""Tests for page-access tracing and the access patterns it reveals.
 
+Every pool here has a :class:`TraceCollector` attached, so each buffer
+event arrives as a ``page.*`` trace event with full page identity.
+"""
+
+from repro.obs.tracing import (
+    EV_PAGE_CREATE,
+    EV_PAGE_FETCH,
+    EV_PAGE_HIT,
+    EV_PAGE_WRITE,
+    TraceCollector,
+)
 from repro.storage.buffer import BufferPool
 from repro.storage.iostats import IoStats
 from repro.storage.page import PageId, PageKind
 from repro.storage.relation import ArcRelation
-from repro.storage.trace import PageTrace, TracedPool, TraceEvent
 
 
 def page(number: int, kind: PageKind = PageKind.SUCCESSOR) -> PageId:
     return PageId(kind, number)
 
 
+def traced_pool(capacity, stats=None):
+    collector = TraceCollector()
+    return BufferPool(capacity, stats=stats, collector=collector), collector
+
+
+def page_numbers(collector, name, kind):
+    """Page numbers of the ``name`` events on pages of ``kind``, in order."""
+    return [e.page for e in collector if e.name == name and e.kind == kind.value]
+
+
+def is_sequential(numbers):
+    return all(a <= b for a, b in zip(numbers, numbers[1:]))
+
+
 class TestAttachedTrace:
+    """A collector attached to a pool sees its events; the counters still count."""
+
     def test_records_hits_and_misses_in_order(self):
-        trace = PageTrace()
-        pool = BufferPool(2, stats=trace.attach(IoStats()))
+        pool, collector = traced_pool(2)
         pool.access(page(0))
         pool.access(page(0))
         pool.access(page(1))
-        events = [record.event for record in trace.records]
-        assert events == [
-            TraceEvent.REQUEST_MISS,
-            TraceEvent.READ,
-            TraceEvent.REQUEST_HIT,
-            TraceEvent.REQUEST_MISS,
-            TraceEvent.READ,
-        ]
+        assert [e.name for e in collector] == [EV_PAGE_FETCH, EV_PAGE_HIT, EV_PAGE_FETCH]
 
     def test_records_eviction_writes(self):
-        trace = PageTrace()
-        pool = BufferPool(1, stats=trace.attach(IoStats()))
+        pool, collector = traced_pool(1)
         pool.access(page(0), dirty=True)
         pool.access(page(1))  # evicts dirty page 0
-        assert len(trace.events(TraceEvent.WRITE)) == 1
+        assert page_numbers(collector, EV_PAGE_WRITE, PageKind.SUCCESSOR) == [0]
 
     def test_underlying_stats_still_count(self):
-        trace = PageTrace()
-        stats = trace.attach(IoStats())
-        pool = BufferPool(2, stats=stats)
+        stats = IoStats()
+        pool, collector = traced_pool(2, stats)
         pool.access(page(0))
         assert stats.total_reads == 1
         assert stats.total_requests == 1
+        assert len(collector) == 1
 
     def test_kind_filter(self):
-        trace = PageTrace()
-        pool = BufferPool(4, stats=trace.attach(IoStats()))
+        pool, collector = traced_pool(4)
         pool.access(page(0, PageKind.RELATION))
         pool.access(page(0, PageKind.SUCCESSOR))
-        assert len(trace.events(TraceEvent.READ, PageKind.RELATION)) == 1
+        assert page_numbers(collector, EV_PAGE_FETCH, PageKind.RELATION) == [0]
 
 
 class TestTracedPool:
+    """Every page event of a traced pool carries the full page identity."""
+
     def test_records_page_numbers(self):
-        trace = PageTrace()
-        pool = TracedPool(4, trace)
+        pool, collector = traced_pool(4)
         pool.access(page(7))
         pool.access(page(3))
-        assert trace.page_numbers(TraceEvent.READ, PageKind.SUCCESSOR) == [7, 3]
+        assert page_numbers(collector, EV_PAGE_FETCH, PageKind.SUCCESSOR) == [7, 3]
 
     def test_create_is_distinguished_from_write(self):
-        trace = PageTrace()
-        pool = TracedPool(4, trace)
+        pool, collector = traced_pool(4)
         pool.create(page(5))
-        assert trace.page_numbers(TraceEvent.CREATE, PageKind.SUCCESSOR) == [5]
-        assert trace.events(TraceEvent.WRITE) == []
+        assert page_numbers(collector, EV_PAGE_CREATE, PageKind.SUCCESSOR) == [5]
+        assert collector.counts()[EV_PAGE_WRITE] == 0
 
     def test_is_sequential(self):
-        trace = PageTrace()
-        pool = TracedPool(8, trace)
+        pool, collector = traced_pool(8)
         for number in (0, 1, 2, 5):
             pool.access(page(number))
-        assert trace.is_sequential(TraceEvent.READ, PageKind.SUCCESSOR)
-        pool.access(page(1))  # hit: not a READ, still sequential
-        assert trace.is_sequential(TraceEvent.READ, PageKind.SUCCESSOR)
-        pool.access(page(999))
-        pool.access(page(0))  # evicted meanwhile? capacity 8: still hit
-        # A genuinely out-of-order *read* breaks sequentiality.
-        trace2 = PageTrace()
-        pool2 = TracedPool(2, trace2)
+        pool.access(page(1))  # hit: not a fetch, still sequential
+        assert is_sequential(page_numbers(collector, EV_PAGE_FETCH, PageKind.SUCCESSOR))
+        # A genuinely out-of-order *fetch* breaks sequentiality.
+        pool2, collector2 = traced_pool(2)
         pool2.access(page(3))
         pool2.access(page(1))
-        assert not trace2.is_sequential(TraceEvent.READ, PageKind.SUCCESSOR)
+        assert not is_sequential(page_numbers(collector2, EV_PAGE_FETCH, PageKind.SUCCESSOR))
 
 
 class TestAccessPatterns:
     def test_full_scan_of_the_relation_is_sequential(self, medium_dag):
         """The restructuring phase of a full query reads the relation
         front to back -- the clustered layout's whole point."""
-        trace = PageTrace()
-        pool = TracedPool(10, trace)
+        pool, collector = traced_pool(10)
         relation = ArcRelation(medium_dag)
         relation.scan(pool)
-        assert trace.is_sequential(TraceEvent.READ, PageKind.RELATION)
-        assert trace.page_numbers(TraceEvent.READ, PageKind.RELATION) == list(
+        assert page_numbers(collector, EV_PAGE_FETCH, PageKind.RELATION) == list(
             range(relation.num_pages)
         )
 
     def test_indexed_probes_touch_only_the_nodes_run(self, medium_dag):
-        trace = PageTrace()
-        pool = TracedPool(10, trace)
+        pool, collector = traced_pool(10)
         relation = ArcRelation(medium_dag)
         relation.read_successors(40, pool)
-        data_reads = trace.page_numbers(TraceEvent.READ, PageKind.RELATION)
-        assert set(data_reads) == set(relation.pages_for_node(40))
+        data_fetches = page_numbers(collector, EV_PAGE_FETCH, PageKind.RELATION)
+        assert set(data_fetches) == set(relation.pages_for_node(40))
 
     def test_unclustered_probes_are_scattered(self):
         """JKB's predecessor fetch: the probed pages jump around."""
         from repro.graphs.generator import generate_dag
 
-        trace = PageTrace()
-        pool = TracedPool(2, trace)
+        pool, collector = traced_pool(2)
         relation = ArcRelation(generate_dag(800, 4, 200, seed=1))
         relation.probe_arcs_unclustered(30, pool, seed_position=3)
-        reads = trace.page_numbers(TraceEvent.READ, PageKind.RELATION)
-        assert len(reads) > 1
-        assert not all(a <= b for a, b in zip(reads, reads[1:]))
+        fetches = page_numbers(collector, EV_PAGE_FETCH, PageKind.RELATION)
+        assert len(fetches) > 1
+        assert not is_sequential(fetches)

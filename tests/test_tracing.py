@@ -4,9 +4,12 @@ The trace goldens pin the *event stream* of BTC and Hybrid on the
 figure-6 smoke workload (the same graph the counter goldens use): the
 per-event-name counts plus the first and last event identities.  A
 drifting golden means the storage emit sites changed behaviour -- the
-same contract the counter goldens enforce, one layer deeper.
+same contract the counter goldens enforce, one layer deeper.  The
+profile golden pins the run profile folded from those events for BTC,
+Hybrid and JKB2.
 """
 
+import functools
 import json
 from pathlib import Path
 
@@ -20,7 +23,7 @@ from repro.graphs.datasets import build_graph
 from repro.obs.bench import build_bench_summary, set_bench_reps
 from repro.obs.compare import MetricGate, compare_runs
 from repro.obs.heatmap import page_heatmap, residency_timeline
-from repro.obs.record import SUPPORTED_SCHEMA_VERSIONS, RunRecord
+from repro.obs.record import SUPPORTED_SCHEMA_VERSIONS, RunRecord, summarise_trace
 from repro.obs.sink import JsonlSink, MemorySink, set_global_sink
 from repro.obs.spans import SpanRecorder
 from repro.obs.tracing import (
@@ -34,6 +37,9 @@ from repro.storage.engine import make_engine
 
 GOLDEN = json.loads(
     (Path(__file__).parent / "goldens" / "trace_events.json").read_text()
+)
+PROFILE_GOLDEN = json.loads(
+    (Path(__file__).parent / "goldens" / "trace_profile.json").read_text()
 )
 
 SYSTEM = SystemConfig(buffer_pages=10)
@@ -68,6 +74,16 @@ class TestTraceGoldens:
     def test_all_emitted_names_are_vocabulary(self):
         _, collector = _traced_run("hyb", _graph())
         assert {e.name for e in collector.events} <= EVENT_NAMES
+
+    @pytest.mark.parametrize("name", ["btc", "hyb", "jkb2"])
+    def test_run_profile_matches_golden(self, name):
+        assert PROFILE_GOLDEN["workload"] == GOLDEN["workload"]
+        _, collector = _traced_run(name, _graph())
+        profile = summarise_trace(collector)
+        golden = PROFILE_GOLDEN["algorithms"][name]
+        assert json.dumps(profile, indent=2, sort_keys=True) == json.dumps(
+            golden, indent=2, sort_keys=True
+        )
 
 
 class TestZeroOverheadContract:
@@ -123,6 +139,36 @@ class TestCollector:
         assert phases == ["", "compute"]
 
 
+class TestRingOverflow:
+    def test_profile_counts_dropped_events(self):
+        _, full = _traced_run("btc", _graph())
+        collector = TraceCollector(capacity=500)
+        make_algorithm("btc").run(_graph(), Query.full(), SYSTEM, collector=collector)
+        profile = summarise_trace(collector)
+        assert collector.dropped > 0
+        assert profile["dropped"] == collector.dropped
+        # The fold covers the ring's tail only.
+        assert 0 < profile["requests"] < summarise_trace(full)["requests"]
+        assert "dropped" not in summarise_trace(full)
+
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_trace_out_warns_per_algorithm_that_dropped(self, jobs, tmp_path, capsys,
+                                                        monkeypatch):
+        small = functools.partial(TraceCollector, capacity=200)
+        monkeypatch.setattr("repro.cli.TraceCollector", small)
+        monkeypatch.setattr("repro.experiments.parallel.TraceCollector", small)
+        # Run the --jobs units in this process, so they get the small ring too.
+        monkeypatch.setattr("repro.experiments.parallel.ExperimentEngine.parallel",
+                            property(lambda self: False))
+        out = tmp_path / "t.json"
+        assert main(["--algorithm", "btc", "--nodes", "60", "--jobs", jobs,
+                     "--trace-out", str(out), "--quiet"]) == 0
+        warnings = [line for line in capsys.readouterr().err.splitlines()
+                    if line.startswith("warning:")]
+        assert len(warnings) == 1
+        assert warnings[0].startswith("warning: btc: ") and "dropped" in warnings[0]
+
+
 class TestChromeExport:
     def _sections(self):
         collector = TraceCollector(label="demo")
@@ -164,13 +210,23 @@ class TestChromeExport:
 
         assert identities(serial) == identities(parallel)
 
-    def test_cli_trace_out_writes_valid_chrome_trace(self, tmp_path):
+    def test_cli_trace_out_writes_valid_chrome_trace(self, tmp_path, capsys):
         path = tmp_path / "trace.json"
         assert main(["--algorithm", "btc", "--nodes", "80",
                      "--trace-out", str(path), "--quiet"]) == 0
+        assert "warning:" not in capsys.readouterr().err  # nothing dropped
         payload = json.loads(path.read_text())
         assert validate_chrome_trace(payload) == []
         assert main(["obs", "validate-trace", str(path)]) == 0
+
+    def test_traced_seminaive_record_carries_a_profile(self, tmp_path):
+        records, path = tmp_path / "out.jsonl", tmp_path / "trace.json"
+        assert main(["--algorithm", "seminaive", "--nodes", "80", "--quiet",
+                     "--emit-json", str(records), "--trace-out", str(path)]) == 0
+        record = RunRecord.from_json(records.read_text().splitlines()[0])
+        assert record.trace is not None
+        assert record.trace["requests"] > 0
+        assert sum(record.trace["kind_histogram"].values()) == record.trace["requests"]
 
     def test_obs_validate_trace_rejects_garbage(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
