@@ -37,6 +37,7 @@ import gzip
 import io
 import random
 import re
+import zlib
 from array import array
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass, field
@@ -195,7 +196,8 @@ def load_snap(
     ------
     IngestError
         On an edge line with fewer than two fields, with the line
-        number.
+        number; or when a gzip payload is cut off or corrupt, with the
+        last line read.
     """
     path = Path(path)
     slots: dict[str, int] = {}
@@ -203,32 +205,39 @@ def load_snap(
     dsts = array("q")
     declared = num_nodes
     arc_lines = comment_lines = blank_lines = self_loops = 0
+    lineno = 0  # the last line read, for a cut-off compressed payload
     with _open_text(path) as stream:
-        for lineno, line in enumerate(stream, start=1):
-            text = line.strip()
-            if not text:
-                blank_lines += 1
-                continue
-            if text.startswith(COMMENT_PREFIXES):
-                comment_lines += 1
-                if declared is None:
-                    header = _NODES_HEADER.search(text)
-                    if header is not None:
-                        declared = int(header.group(1))
-                continue
-            columns = text.split()
-            if len(columns) < 2:
-                raise IngestError(
-                    f"{path}: line {lineno}: expected 'src dst', got {text!r}"
-                )
-            arc_lines += 1
-            src = slots.setdefault(columns[0], len(slots))
-            dst = slots.setdefault(columns[1], len(slots))
-            if src == dst:
-                self_loops += 1
-                continue
-            srcs.append(src)
-            dsts.append(dst)
+        try:
+            for lineno, line in enumerate(stream, start=1):
+                text = line.strip()
+                if not text:
+                    blank_lines += 1
+                    continue
+                if text.startswith(COMMENT_PREFIXES):
+                    comment_lines += 1
+                    if declared is None:
+                        header = _NODES_HEADER.search(text)
+                        if header is not None:
+                            declared = int(header.group(1))
+                    continue
+                columns = text.split()
+                if len(columns) < 2:
+                    raise IngestError(
+                        f"{path}: line {lineno}: expected 'src dst', got {text!r}"
+                    )
+                arc_lines += 1
+                src = slots.setdefault(columns[0], len(slots))
+                dst = slots.setdefault(columns[1], len(slots))
+                if src == dst:
+                    self_loops += 1
+                    continue
+                srcs.append(src)
+                dsts.append(dst)
+        except (EOFError, zlib.error) as exc:
+            raise IngestError(
+                f"{path}: compressed data is truncated or corrupt after "
+                f"line {lineno}: {exc}"
+            ) from exc
 
     num_seen = len(slots)
     tokens = list(slots)  # tokens[slot] = token, by first-seen insertion order

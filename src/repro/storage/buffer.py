@@ -25,6 +25,7 @@ import random
 import time
 from abc import ABC, abstractmethod
 from collections import OrderedDict
+from collections.abc import Iterable
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -83,6 +84,9 @@ class LruPolicy(ReplacementPolicy):
 
     def __init__(self) -> None:
         self._order: OrderedDict[PageId, None] = OrderedDict()
+        # A hit only moves the page to the back: the C method itself is
+        # the hook, so the pool's hit path makes no Python-level call.
+        self.note_access = self._order.move_to_end  # type: ignore[method-assign]
 
     def note_admit(self, page: PageId) -> None:
         self._order[page] = None
@@ -270,12 +274,18 @@ class BufferPool:
         contract as ``recorder``: one ``None`` check when absent,
         never a counter change.
 
+    A hit, the hot path of every paged run, costs a few dict operations:
+    :meth:`access` counts it inline and calls the policy's
+    ``note_access``, bound once here (LRU's and MRU's is their
+    ``OrderedDict``'s C ``move_to_end``, so no Python-level call).
+    :meth:`access_pages` charges a list read or relation lookup in one
+    call: clean, in order, each page exactly as ``access(page)`` would.
+
     Chaos: when a process-wide :class:`~repro.chaos.faults.FaultPlan`
     is armed, the physical-read path is a fault site (corrupt reads,
     eviction storms, latency spikes).  The check lives on the *miss*
-    path only, so the hit path -- the hot path of every experiment --
-    is exactly as before, and with no plan armed a miss costs one
-    ``None`` comparison.
+    path only, so the hit path never looks at the plan, and with no
+    plan armed a miss costs one ``None`` comparison.
     """
 
     def __init__(
@@ -292,6 +302,7 @@ class BufferPool:
         self.capacity = capacity
         self.stats = stats if stats is not None else IoStats()
         self._policy = policy if isinstance(policy, ReplacementPolicy) else make_policy(policy)
+        self._note_access = self._policy.note_access
         self._recorder = recorder
         self._auditor = auditor
         self.collector = collector
@@ -327,32 +338,38 @@ class BufferPool:
         """
         frame = self._frames.get(page)
         if frame is not None:
-            self.stats.record_request(page.kind, hit=True)
-            self._policy.note_access(page)
+            stats = self.stats
+            stats.requests[stats.phase] += 1
+            stats.hits[stats.phase] += 1
+            self._note_access(page)
             frame.dirty = frame.dirty or dirty
             if self.collector is not None:
                 self.collector.emit(EV_PAGE_HIT, page.kind.value, page.number)
             return True
-
-        plan = active_plan()
-        with span("pool.read", self._recorder):
-            if plan is not None:
-                self._inject_read_faults(plan, page, pre_admit=True)
-            if len(self._frames) >= self.capacity:
-                self._evict_one()
-            # Counted only once the page is actually served: when every
-            # frame is pinned the eviction above raises and Hybrid
-            # reblocks and retries, and an aborted attempt must not
-            # break the requests = hits + reads identity.
-            self.stats.record_request(page.kind, hit=False)
-            self.stats.record_read(page.kind)
-            self._frames[page] = _Frame(page, dirty=dirty)
-            self._policy.note_admit(page)
-            if self.collector is not None:
-                self.collector.emit(EV_PAGE_FETCH, page.kind.value, page.number)
-            if plan is not None:
-                self._inject_read_faults(plan, page, pre_admit=False)
+        self._fault_in(page, dirty)
         return False
+
+    def access_pages(self, pages: Iterable[PageId]) -> None:
+        """Request each of ``pages`` in order, clean.
+
+        Exactly as many :meth:`access` calls would: the same counters,
+        trace events, evictions and fault opportunities, page by page.
+        The phase is read once: it only changes between pool calls.
+        """
+        stats = self.stats
+        requests, hits, phase = stats.requests, stats.hits, stats.phase
+        frames = self._frames
+        note_access = self._note_access
+        collector = self.collector
+        for page in pages:
+            if page in frames:
+                requests[phase] += 1
+                hits[phase] += 1
+                note_access(page)
+                if collector is not None:
+                    collector.emit(EV_PAGE_HIT, page.kind.value, page.number)
+            else:
+                self._fault_in(page, False)
 
     def create(self, page: PageId) -> None:
         """Materialise a brand-new page directly in the pool.
@@ -365,7 +382,7 @@ class BufferPool:
         frame = self._frames.get(page)
         if frame is not None:
             frame.dirty = True
-            self._policy.note_access(page)
+            self._note_access(page)
             return
         # Materialising a new page is not a lookup: no request, no
         # hit, no read -- only the future write when it leaves dirty.
@@ -461,6 +478,27 @@ class BufferPool:
         return evicted
 
     # -- internals ---------------------------------------------------------
+
+    def _fault_in(self, page: PageId, dirty: bool) -> None:
+        """The miss path of :meth:`access` and :meth:`access_pages`."""
+        plan = active_plan()
+        with span("pool.read", self._recorder):
+            if plan is not None:
+                self._inject_read_faults(plan, page, pre_admit=True)
+            if len(self._frames) >= self.capacity:
+                self._evict_one()
+            # Counted only once the page is actually served: when every
+            # frame is pinned the eviction above raises and Hybrid
+            # reblocks and retries, and an aborted attempt must not
+            # break the requests = hits + reads identity.
+            self.stats.requests[self.stats.phase] += 1
+            self.stats.record_read(page.kind)
+            self._frames[page] = _Frame(page, dirty=dirty)
+            self._policy.note_admit(page)
+            if self.collector is not None:
+                self.collector.emit(EV_PAGE_FETCH, page.kind.value, page.number)
+            if plan is not None:
+                self._inject_read_faults(plan, page, pre_admit=False)
 
     def _inject_read_faults(self, plan: FaultPlan, page: PageId, pre_admit: bool) -> None:
         """Fault site: one physical page read (chaos plane, see class doc)."""

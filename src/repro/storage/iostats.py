@@ -41,17 +41,13 @@ class IoStats:
 
     # reads/writes key physical I/Os two ways at once: by Phase and by
     # PageKind (record_read/record_write bump both breakdowns).
+    # requests/hits are keyed by Phase only, and the buffer pool bumps
+    # them inline: a hit is its hot path.
     reads: Counter[Phase | PageKind] = field(default_factory=Counter)
     writes: Counter[Phase | PageKind] = field(default_factory=Counter)
     requests: Counter[Phase | PageKind] = field(default_factory=Counter)
     hits: Counter[Phase | PageKind] = field(default_factory=Counter)
     phase: Phase = Phase.RESTRUCTURE
-
-    def record_request(self, kind: PageKind, hit: bool) -> None:
-        """Record one buffer-pool page request and whether it hit."""
-        self.requests[self.phase] += 1
-        if hit:
-            self.hits[self.phase] += 1
 
     def record_read(self, kind: PageKind) -> None:
         """Record one physical page read (a buffer-pool miss)."""

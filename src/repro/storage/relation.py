@@ -91,23 +91,26 @@ class ArcRelation:
         Used by full-closure restructuring, which converts every tuple
         to successor-list format in one pass.
         """
-        for page in self._pages:
-            pool.access(page)
+        pool.access_pages(self._pages)
         return self.num_pages
 
     def read_successors(self, node: int, pool: BufferPool, use_index: bool = True) -> list[int]:
         """Fetch ``node``'s successor tuples via the clustered index.
 
         Charges the index root + leaf access and the data page(s) of the
-        node's tuple run, then returns the successors.  Selection-query
-        restructuring uses this to search forward from the source nodes
-        (Section 3.6: "this can be done efficiently if the input
-        relation is clustered and indexed on the source attribute").
+        node's tuple run, in that order and in one pool call, then
+        returns the successors.  Selection-query restructuring uses this
+        to search forward from the source nodes (Section 3.6: "this can
+        be done efficiently if the input relation is clustered and
+        indexed on the source attribute").
         """
+        numbers = self.pages_for_node(node)
+        data = self._pages[numbers.start:numbers.stop]
         if use_index:
-            self._charge_index(node, pool)
-        for number in self.pages_for_node(node):
-            pool.access(self._pages[number])
+            index = self._index_pages
+            pool.access_pages((index[-1], index[node // INDEX_ENTRIES_PER_PAGE], *data))
+        else:
+            pool.access_pages(data)
         return self._graph.successors(node)
 
     def probe_arcs_unclustered(self, node_arcs: int, pool: BufferPool, seed_position: int) -> None:
@@ -127,12 +130,6 @@ class ArcRelation:
             # Deterministic scatter across the file (linear congruence).
             number = (seed_position * 2654435761 + step * 40503) % self.num_pages
             pool.access(self._pages[number])
-
-    # -- internals -----------------------------------------------------------
-
-    def _charge_index(self, node: int, pool: BufferPool) -> None:
-        pool.access(self._index_pages[-1])  # the root
-        pool.access(self._index_pages[node // INDEX_ENTRIES_PER_PAGE])
 
 
 class InverseArcRelation(ArcRelation):

@@ -29,7 +29,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 
-from repro.chaos.faults import FaultKind, active_plan
+from repro.chaos.faults import FaultKind, FaultPlan, active_plan
 from repro.errors import StorageError, TornWriteError
 from repro.obs.tracing import EV_BLOCK_RELOCATE, EV_BLOCK_SPLIT
 from repro.storage.buffer import BufferPool
@@ -160,8 +160,7 @@ class SuccessorListStore:
         of the list is requested from the buffer pool.
         """
         layout = self._require(node)
-        for page in layout.pages:
-            self.pool.access(page)
+        self.pool.access_pages(layout.pages)
         return len(layout.pages)
 
     def read_blocks(self, node: int, block_indexes: list[int]) -> int:
@@ -176,8 +175,7 @@ class SuccessorListStore:
         for index in block_indexes:
             if 0 <= index < len(layout.blocks):
                 pages[self._page_ids[layout.blocks[index][0]]] = None
-        for page in pages:
-            self.pool.access(page)
+        self.pool.access_pages(pages)
         return len(pages)
 
     def append(self, node: int, count: int) -> None:
@@ -237,33 +235,34 @@ class SuccessorListStore:
             room = self.block_capacity - tail[1]
             if room > 0:
                 take = min(room, remaining)
-                self._check_torn_write(plan, node, tail[0])
+                if plan is not None:
+                    self._check_torn_write(plan, node, tail[0])
                 tail[1] += take
                 remaining -= take
                 self.pool.access(self._page_ids[tail[0]], dirty=True)
         while remaining > 0:
             page = self._page_for_new_block(node, layout)
-            self._check_torn_write(plan, node, page)
+            if plan is not None:
+                self._check_torn_write(plan, node, page)
             take = min(self.block_capacity, remaining)
             layout.blocks.append([page, take])
             page_id = self._page_ids[page]
             if page_id not in layout.pages:
                 layout.pages.append(page_id)
             self._free_blocks[page] -= 1
-            self._lists_on_page.setdefault(page, set()).add(node)
+            self._lists_on_page[page].add(node)
             remaining -= take
         layout.length += count
 
-    def _check_torn_write(self, plan, node: int, page: int) -> None:
+    def _check_torn_write(self, plan: FaultPlan, node: int, page: int) -> None:
         """Fault site: one successor-block write (chaos plane).
 
-        The check sits *before* the layout mutation, so an injected
-        torn write leaves the store's accounting exactly as it was --
-        the injury is detected, not silently absorbed -- and a strict
-        audit after the failure still passes.
+        Called per block only while a plan is armed.  The check sits
+        *before* the layout mutation, so an injected torn write leaves
+        the store's accounting exactly as it was -- the injury is
+        detected, not silently absorbed -- and a strict audit after the
+        failure still passes.
         """
-        if plan is None:
-            return
         event = plan.fire(FaultKind.TORN_WRITE)
         if event is not None:
             raise TornWriteError(
@@ -304,6 +303,7 @@ class SuccessorListStore:
             page = len(self._page_ids)
             self._page_ids.append(PageId(self.kind, page))
             self._free_blocks[page] = self.blocks_per_page
+            self._lists_on_page[page] = set()
             self._append_page = page
             self.pool.create(self._page_ids[page])
         else:
@@ -323,8 +323,7 @@ class SuccessorListStore:
         victim_layout = key[victim]
 
         # Read the victim's pages (it must be brought in to be moved)...
-        for page_id in victim_layout.pages:
-            self.pool.access(page_id)
+        self.pool.access_pages(victim_layout.pages)
         # ...free its blocks on *this* page and re-allocate them elsewhere.
         moved_entries = 0
         kept_blocks = []

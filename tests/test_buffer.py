@@ -2,14 +2,17 @@
 
 import pytest
 
+from repro.chaos.faults import FaultPlan, use_fault_plan
 from repro.errors import (
     BufferPoolError,
     BufferPoolExhaustedError,
     ConfigurationError,
+    CorruptPageReadError,
     PageNotPinnedError,
 )
+from repro.obs.tracing import TraceCollector
 from repro.storage.buffer import BufferPool, make_policy
-from repro.storage.iostats import IoStats
+from repro.storage.iostats import IoStats, Phase
 from repro.storage.page import PageId, PageKind
 
 
@@ -222,6 +225,60 @@ class TestRandom:
     def test_unknown_policy_raises(self):
         with pytest.raises(ConfigurationError):
             make_policy("optimal-oracle")
+
+
+class TestAccessPages:
+    """One batched call is exactly that many per-page ``access`` calls."""
+
+    # Hits, misses and evictions on a 3-frame pool, with dirty victims.
+    SEQUENCE = [0, 1, 0, 2, 3, 1, 1, 11, 4, 0, 5, 10, 2, 2, 6, 3, 0]
+
+    def _pool(self, policy: str) -> BufferPool:
+        pool = BufferPool(
+            3, policy=make_policy(policy, seed=7), collector=TraceCollector()
+        )
+        pool.access(page(10), dirty=True)
+        pool.create(page(11))
+        pool.stats.phase = Phase.COMPUTE
+        return pool
+
+    @pytest.mark.parametrize("policy", ["lru", "mru", "fifo", "clock", "random"])
+    def test_matches_per_page_access(self, policy):
+        batched, single = self._pool(policy), self._pool(policy)
+        pages = [page(number) for number in self.SEQUENCE]
+        batched.access_pages(pages)
+        for each in pages:
+            single.access(each)
+        assert batched.stats == single.stats
+        assert _pages(batched) == _pages(single)
+        # The same victims on the next evictions.
+        for number in range(20, 26):
+            batched.access(page(number))
+            single.access(page(number))
+            assert _pages(batched) == _pages(single)
+        assert batched.stats == single.stats
+        assert [event.identity() for event in batched.collector.events] == [
+            event.identity() for event in single.collector.events
+        ]
+
+    def test_corrupt_read_mid_batch_keeps_the_identity(self):
+        pool = BufferPool(4)
+        with use_fault_plan(FaultPlan.parse("corrupt-read,after=2")):
+            with pytest.raises(CorruptPageReadError):
+                pool.access_pages([page(0), page(0), page(1), page(2)])
+        stats = pool.stats
+        assert (stats.total_requests, stats.total_hits, stats.total_reads) == (3, 1, 2)
+        assert stats.total_requests == stats.total_hits + stats.total_reads
+
+    def test_exhausted_pool_mid_batch_keeps_the_identity(self):
+        pool = BufferPool(2)
+        pool.pin(page(0))
+        pool.pin(page(1))
+        with pytest.raises(BufferPoolExhaustedError):
+            pool.access_pages([page(0), page(2), page(1)])
+        stats = pool.stats
+        assert (stats.total_requests, stats.total_hits, stats.total_reads) == (3, 1, 2)
+        assert stats.total_requests == stats.total_hits + stats.total_reads
 
 
 def _pages(pool: BufferPool):

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import main
+from repro.graphs.ingest import write_snap
 from repro.obs.compare import load_records
 
 
@@ -261,6 +262,16 @@ class TestIngestCommand:
         bad.write_text("0 1\noops\n")
         assert main(["ingest", str(bad)]) == 1
         assert "line 2" in capsys.readouterr().err
+
+    def test_truncated_gzip_exits_one_without_traceback(self, tmp_path, capsys):
+        cut = tmp_path / "cut.snap.gz"
+        write_snap(cut, ((node, node + 1) for node in range(20_000)))
+        payload = cut.read_bytes()
+        cut.write_bytes(payload[: len(payload) // 2])
+        assert main(["ingest", str(cut)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "truncated" in err
+        assert "Traceback" not in err
 
 
 class TestServeCommand:

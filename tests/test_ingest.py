@@ -91,6 +91,14 @@ class TestLoaderTolerance:
         result = load_snap(path)
         assert result.graph.num_arcs == 2
 
+    def test_truncated_gzip_raises_ingest_error(self, tmp_path):
+        path = tmp_path / "cut.snap.gz"
+        write_snap(path, ((node, node + 1) for node in range(20_000)))
+        payload = path.read_bytes()
+        path.write_bytes(payload[: len(payload) // 2])
+        with pytest.raises(IngestError, match=r"cut\.snap\.gz.*truncated.*after line \d+"):
+            load_snap(path)
+
     def test_arc_line_accounting_invariant(self, tmp_path):
         path = tmp_path / "mixed.snap"
         path.write_text("# c\n0 1\n0 1\n2 2\n\n1 0\n")

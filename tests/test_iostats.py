@@ -1,7 +1,8 @@
 """Tests for the I/O statistics counters."""
 
+from repro.storage.buffer import BufferPool
 from repro.storage.iostats import IoStats, Phase
-from repro.storage.page import PageKind
+from repro.storage.page import PageId, PageKind
 
 
 class TestPhaseAttribution:
@@ -45,19 +46,31 @@ class TestHitRatio:
         assert IoStats().hit_ratio() == 0.0
 
     def test_overall_ratio(self):
-        stats = IoStats()
-        stats.record_request(PageKind.SUCCESSOR, hit=True)
-        stats.record_request(PageKind.SUCCESSOR, hit=True)
-        stats.record_request(PageKind.SUCCESSOR, hit=False)
-        stats.record_request(PageKind.SUCCESSOR, hit=False)
+        # Requests and hits are counted by the buffer pool, per phase.
+        pool = BufferPool(4)
+        pool.stats.phase = Phase.RESTRUCTURE
+        pool.access(PageId(PageKind.SUCCESSOR, 0))  # miss
+        pool.access(PageId(PageKind.SUCCESSOR, 0))  # hit
+        pool.stats.phase = Phase.COMPUTE
+        pool.access(PageId(PageKind.SUCCESSOR, 1))  # miss
+        pool.access(PageId(PageKind.SUCCESSOR, 1))  # hit
+        stats = pool.stats
+        assert stats.requests[Phase.RESTRUCTURE] == stats.requests[Phase.COMPUTE] == 2
+        assert stats.hits[Phase.RESTRUCTURE] == stats.hits[Phase.COMPUTE] == 1
         assert stats.hit_ratio() == 0.5
 
     def test_per_phase_ratio(self):
-        stats = IoStats()
-        stats.phase = Phase.RESTRUCTURE
-        stats.record_request(PageKind.RELATION, hit=False)
-        stats.phase = Phase.COMPUTE
-        stats.record_request(PageKind.SUCCESSOR, hit=True)
+        pool = BufferPool(4)
+        resident = PageId(PageKind.SUCCESSOR, 0)
+        pool.create(resident)  # materialised, not requested
+        pool.stats.phase = Phase.RESTRUCTURE
+        pool.access(PageId(PageKind.RELATION, 0))  # miss
+        pool.stats.phase = Phase.COMPUTE
+        pool.access(resident)  # hit
+        stats = pool.stats
+        assert stats.requests[Phase.RESTRUCTURE] == 1
+        assert stats.hits[Phase.RESTRUCTURE] == 0
+        assert stats.requests[Phase.COMPUTE] == stats.hits[Phase.COMPUTE] == 1
         assert stats.hit_ratio(Phase.COMPUTE) == 1.0
         assert stats.hit_ratio(Phase.RESTRUCTURE) == 0.0
 
