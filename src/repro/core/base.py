@@ -55,36 +55,26 @@ def topological_sort_map(adjacency: dict[int, Sequence[int]]) -> list[int]:
     for root in sorted(adjacency):
         if color[root] != WHITE:
             continue
-        # Each frame: [node, next_child_index] (mutable, so descending
-        # does not reallocate the frame).
-        stack = [[root, 0]]
+        # Each frame resumes its row's iterator: indexing a CSR row is a
+        # Python-level ``ArcView`` call per child, iterating it is not.
+        stack = [(root, iter(adjacency[root]))]
         color[root] = GRAY
         while stack:
-            frame = stack[-1]
-            node = frame[0]
-            child_index = frame[1]
-            children = adjacency[node]
-            n_children = len(children)
-            advanced = False
-            while child_index < n_children:
-                child = children[child_index]
-                child_index += 1
+            node, children = stack[-1]
+            for child in children:
                 state = color[child]
                 if state == GRAY:
                     raise CyclicGraphError(
                         f"cycle detected through arc ({node}, {child})"
                     )
                 if state == WHITE:
-                    frame[1] = child_index
-                    stack.append([child, 0])
+                    stack.append((child, iter(adjacency[child])))
                     color[child] = GRAY
-                    advanced = True
                     break
-            if advanced:
-                continue
-            stack.pop()
-            color[node] = BLACK
-            postorder_append(node)
+            else:
+                stack.pop()
+                color[node] = BLACK
+                postorder_append(node)
     postorder.reverse()
     return postorder
 

@@ -68,6 +68,13 @@ def _build_vectors(
     position) entry is always present and always the minimum for its
     own chain (a child reaching an earlier position of it would close a
     cycle).  Vector storage is charged on dedicated ``CHAIN`` pages.
+
+    Children are *marked*, the k-vector analogue of BTC's arc marking:
+    if the vector already holds a position at or before ``child``'s on
+    ``child``'s chain, an earlier sibling reaches ``child`` along it, so
+    merging ``child`` would only count its entries as duplicates.  They
+    are counted and the merge skipped; the list is still read, so every
+    counter and storage call matches the full merge.
     """
     vector_store = ctx.engine.make_list_store(
         PageKind.CHAIN,
@@ -98,6 +105,10 @@ def _build_vectors(
             entries = len(child_vector)
             tuple_io += entries
             generated += entries
+            held = vector.get(chain_of[child])
+            if held is not None and held <= position_of[child]:
+                duplicates += entries
+                continue
             for chain_id, pos in child_vector.items():
                 held = vector.get(chain_id)
                 if held is None or pos < held:

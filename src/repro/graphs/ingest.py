@@ -54,6 +54,9 @@ COMMENT_PREFIXES = ("#", "%")
 
 GZIP_MAGIC = b"\x1f\x8b"
 
+RELABEL_SLICE = 1 << 14
+"""Arc-column entries relabelled per step of the id compaction."""
+
 
 @dataclass(frozen=True)
 class IngestStats:
@@ -206,34 +209,37 @@ def load_snap(
     declared = num_nodes
     arc_lines = comment_lines = blank_lines = self_loops = 0
     lineno = 0  # the last line read, for a cut-off compressed payload
+    setdefault = slots.setdefault
+    srcs_append = srcs.append
+    dsts_append = dsts.append
     with _open_text(path) as stream:
         try:
             for lineno, line in enumerate(stream, start=1):
-                text = line.strip()
-                if not text:
+                columns = line.split()
+                if not columns:
                     blank_lines += 1
                     continue
-                if text.startswith(COMMENT_PREFIXES):
+                if columns[0].startswith(COMMENT_PREFIXES):
                     comment_lines += 1
                     if declared is None:
-                        header = _NODES_HEADER.search(text)
+                        header = _NODES_HEADER.search(line)
                         if header is not None:
                             declared = int(header.group(1))
                     continue
-                columns = text.split()
                 if len(columns) < 2:
                     raise IngestError(
-                        f"{path}: line {lineno}: expected 'src dst', got {text!r}"
+                        f"{path}: line {lineno}: expected 'src dst', "
+                        f"got {line.strip()!r}"
                     )
                 arc_lines += 1
-                src = slots.setdefault(columns[0], len(slots))
-                dst = slots.setdefault(columns[1], len(slots))
+                src = setdefault(columns[0], len(slots))
+                dst = setdefault(columns[1], len(slots))
                 if src == dst:
                     self_loops += 1
                     continue
-                srcs.append(src)
-                dsts.append(dst)
-        except (EOFError, zlib.error) as exc:
+                srcs_append(src)
+                dsts_append(dst)
+        except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
             raise IngestError(
                 f"{path}: compressed data is truncated or corrupt after "
                 f"line {lineno}: {exc}"
@@ -278,9 +284,14 @@ def load_snap(
             perm[slot] = rank
 
     if any(perm[slot] != slot for slot in range(num_seen)):
-        for position in range(len(srcs)):
-            srcs[position] = perm[srcs[position]]
-            dsts[position] = perm[dsts[position]]
+        relabel = perm.tolist()
+        for column in (srcs, dsts):
+            # Bounded slices keep the temporary list small at any scale.
+            for start in range(0, len(column), RELABEL_SLICE):
+                stop = start + RELABEL_SLICE
+                column[start:stop] = array(
+                    "q", [relabel[slot] for slot in column[start:stop]]
+                )
 
     graph = graph_from_columns(total_nodes, srcs, dsts)
     acyclic = is_acyclic(graph)

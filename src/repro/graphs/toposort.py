@@ -36,15 +36,12 @@ def topological_sort(graph: Digraph, nodes: Iterable[int] | None = None) -> list
     for root in candidates:
         if color[root] != WHITE:
             continue
-        stack: list[tuple[int, int]] = [(root, 0)]
+        # Each frame resumes its row's iterator where it left off.
+        stack = [(root, iter(graph.successors(root)))]
         color[root] = GRAY
         while stack:
-            node, child_index = stack[-1]
-            successors = graph.successors(node)
-            advanced = False
-            while child_index < len(successors):
-                child = successors[child_index]
-                child_index += 1
+            node, children = stack[-1]
+            for child in children:
                 if in_scope is not None and child not in in_scope:
                     continue
                 state = color[child]
@@ -54,16 +51,13 @@ def topological_sort(graph: Digraph, nodes: Iterable[int] | None = None) -> list
                         "condense the graph first (repro.graphs.condensation)"
                     )
                 if state == WHITE:
-                    stack[-1] = (node, child_index)
-                    stack.append((child, 0))
+                    stack.append((child, iter(graph.successors(child))))
                     color[child] = GRAY
-                    advanced = True
                     break
-            if advanced:
-                continue
-            stack.pop()
-            color[node] = BLACK
-            postorder.append(node)
+            else:
+                stack.pop()
+                color[node] = BLACK
+                postorder.append(node)
 
     postorder.reverse()
     return postorder

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import random
+
 import networkx as nx
 import pytest
+from hypothesis import strategies as st
 
 from repro.graphs.digraph import Digraph
 from repro.graphs.generator import generate_dag
@@ -15,6 +18,30 @@ def oracle_closure(graph: Digraph) -> dict[int, set[int]]:
     nxg.add_nodes_from(range(graph.num_nodes))
     nxg.add_edges_from(graph.arcs())
     return {node: set(nx.descendants(nxg, node)) for node in nxg.nodes}
+
+
+@st.composite
+def random_dag(draw, max_nodes=80):
+    """A paper-model DAG of up to ``max_nodes`` nodes."""
+    n = draw(st.integers(min_value=1, max_value=max_nodes))
+    f = draw(st.integers(min_value=0, max_value=6))
+    locality = draw(st.integers(min_value=1, max_value=max(1, n)))
+    seed = draw(st.integers(min_value=0, max_value=100_000))
+    return generate_dag(n, f, locality, seed=seed)
+
+
+@st.composite
+def random_digraph(draw):
+    """A directed graph that usually contains cycles."""
+    n = draw(st.integers(min_value=1, max_value=60))
+    seed = draw(st.integers(min_value=0, max_value=100_000))
+    density = draw(st.floats(min_value=0.5, max_value=3.0))
+    rng = random.Random(seed)
+    num_arcs = int(n * density)
+    arcs = {
+        (rng.randrange(n), rng.randrange(n)) for _ in range(num_arcs)
+    }
+    return Digraph.from_arcs(n, sorted(arcs))
 
 
 @pytest.fixture

@@ -14,21 +14,31 @@ Three layers are exercised:
   condensation and agree both with the BFS oracle and with the
   generalized-closure evaluator of :mod:`repro.paths.closure` run on
   the condensation DAG.
+
+The k-vector sweep's marking test is pinned against a full-merge
+reference sweep: identical vectors, counters and page I/O.
 """
 
-import random
+import dataclasses
+from unittest import mock
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.chains import build_chain_index
-from repro.core.query import SystemConfig
+from repro.core import chains as core_chains
+from repro.core.chains import VECTOR_BLOCK_CAPACITY, build_chain_index
+from repro.core.query import Query, SystemConfig
+from repro.core.registry import make_algorithm
 from repro.graphs.analysis import node_levels
 from repro.graphs.chains import chain_decomposition
 from repro.graphs.condensation import condensation
 from repro.graphs.digraph import Digraph
 from repro.graphs.generator import generate_dag
+from repro.graphs.ingest import iter_braided_arcs
 from repro.paths.closure import path_counts
+from repro.storage.engine import PageKind
+
+from conftest import random_dag, random_digraph
 
 
 def bfs_closure(graph) -> dict[int, set[int]]:
@@ -46,29 +56,6 @@ def bfs_closure(graph) -> dict[int, set[int]]:
             frontier.extend(graph.successors(node))
         closure[source] = seen
     return closure
-
-
-@st.composite
-def random_dag(draw, max_nodes=80):
-    n = draw(st.integers(min_value=1, max_value=max_nodes))
-    f = draw(st.integers(min_value=0, max_value=6))
-    locality = draw(st.integers(min_value=1, max_value=max(1, n)))
-    seed = draw(st.integers(min_value=0, max_value=100_000))
-    return generate_dag(n, f, locality, seed=seed)
-
-
-@st.composite
-def random_digraph(draw):
-    """A directed graph that usually contains cycles."""
-    n = draw(st.integers(min_value=1, max_value=60))
-    seed = draw(st.integers(min_value=0, max_value=100_000))
-    density = draw(st.floats(min_value=0.5, max_value=3.0))
-    rng = random.Random(seed)
-    num_arcs = int(n * density)
-    arcs = {
-        (rng.randrange(n), rng.randrange(n)) for _ in range(num_arcs)
-    }
-    return Digraph.from_arcs(n, sorted(arcs))
 
 
 class TestDecomposition:
@@ -206,3 +193,136 @@ class TestChainIndexOnCyclicGraphs:
                 else:
                     expected = src in cond.self_loops
                 assert index.reachable(src, dst) == expected, (src, dst)
+
+
+def full_merge_vectors(ctx, deco):
+    """The k-vector sweep without marking: every child's vector is
+    merged entry by entry, the loop the marking test short-cuts."""
+    vector_store = ctx.engine.make_list_store(
+        PageKind.CHAIN,
+        policy=ctx.system.list_policy,
+        blocks_per_page=30,
+        block_capacity=VECTOR_BLOCK_CAPACITY,
+    )
+    vectors = {}
+    arcs_considered = locality = list_unions = 0
+    tuple_io = generated = duplicates = 0
+    for node in reversed(ctx.topo_order):
+        vector = {}
+        for child in ctx.adjacency[node]:
+            arcs_considered += 1
+            locality += ctx.levels[node] - ctx.levels[child]
+            list_unions += 1
+            vector_store.read_list(child)
+            child_vector = vectors[child]
+            tuple_io += len(child_vector)
+            generated += len(child_vector)
+            for chain_id, pos in child_vector.items():
+                held = vector.get(chain_id)
+                if held is None or pos < held:
+                    vector[chain_id] = pos
+                else:
+                    duplicates += 1
+        vector[deco.chain_of[node]] = deco.position_of[node]
+        generated += 1
+        vectors[node] = vector
+        vector_store.create_list(node, len(vector))
+    ctx.metrics.fold(
+        arcs_considered=arcs_considered,
+        unmarked_locality_total=locality,
+        list_unions=list_unions,
+        list_reads=list_unions,
+        tuple_io=tuple_io,
+        tuples_generated=generated,
+        duplicates=duplicates,
+    )
+    return vector_store, vectors
+
+
+def counters(metrics):
+    """Every counter and page count of a run, CPU seconds aside."""
+    fields = dataclasses.asdict(metrics)
+    del fields["cpu_seconds"], fields["restructure_cpu_seconds"]
+    return fields
+
+
+def index_fingerprint(index):
+    return (
+        [(node, list(vector.items())) for node, vector in index.vectors.items()],
+        counters(index.metrics),
+    )
+
+
+def assert_marking_matches_full_merge(graph, sources, engine):
+    system = SystemConfig(engine=engine, buffer_pages=10)
+    query = Query.full() if sources is None else Query.ptc(sources)
+    marked = build_chain_index(graph, sources, system)
+    closure = make_algorithm("chains").run(graph, query, system)
+    with mock.patch.object(core_chains, "_build_vectors", full_merge_vectors):
+        merged = build_chain_index(graph, sources, system)
+        merged_closure = make_algorithm("chains").run(graph, query, system)
+    assert index_fingerprint(marked) == index_fingerprint(merged)
+    assert closure.successor_bits == merged_closure.successor_bits
+    assert counters(closure.metrics) == counters(merged_closure.metrics)
+
+
+def skipped_merges(graph, index):
+    """The (node, child) merges the marking test skips, replayed on a
+    built index (its vectors are the full merge's)."""
+    skipped = []
+    for node in index.vectors:
+        vector: dict[int, int] = {}
+        for child in graph.successors(node):
+            held = vector.get(index.chain_of[child])
+            if held is not None and held <= index.position_of[child]:
+                skipped.append((node, child))
+                continue
+            for chain_id, pos in index.vectors[child].items():
+                if chain_id not in vector or pos < vector[chain_id]:
+                    vector[chain_id] = pos
+    return skipped
+
+
+class TestMarkingMatchesFullMerge:
+    @given(random_dag(), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_random_dags_full_and_scoped(self, graph, data):
+        sources = data.draw(
+            st.lists(st.sampled_from(graph.nodes()), min_size=1, max_size=5, unique=True)
+        )
+        for engine in ("fast", "paged"):
+            assert_marking_matches_full_merge(graph, None, engine)
+            assert_marking_matches_full_merge(graph, sources, engine)
+
+    def test_braid(self):
+        graph = Digraph.from_arcs(
+            400, list(iter_braided_arcs(4, 100, shortcuts_per_node=8, seed=5))
+        )
+        index = build_chain_index(graph)
+        # The braid is the input the test pays off on: most merges skip.
+        assert len(skipped_merges(graph, index)) > graph.num_arcs // 2
+        for engine in ("fast", "paged"):
+            assert_marking_matches_full_merge(graph, None, engine)
+            assert_marking_matches_full_merge(graph, [0, 150, 320], engine)
+
+    def test_dominated_child_before_its_dominator_is_merged_in_full(self):
+        # 0 -> {1, 2} and 2 -> 1: the chain is 0, 2, 1, so 2 reaches 1
+        # along it, but row order merges 1 first, before anything is held.
+        graph = Digraph.from_arcs(3, [(0, 1), (0, 2), (2, 1)])
+        index = build_chain_index(graph)
+        assert index.chains == ((0, 2, 1),)
+        assert skipped_merges(graph, index) == []
+        assert index.vectors[0] == {0: 0}
+        for engine in ("fast", "paged"):
+            assert_marking_matches_full_merge(graph, None, engine)
+
+    def test_sibling_reaching_the_child_itself_skips_its_merge(self):
+        # 2 sits at position 1 of chain (3, 2); sibling 1 reaches 2 but
+        # no earlier node of that chain, so held == position_of[2].
+        graph = Digraph.from_arcs(4, [(0, 1), (0, 2), (1, 2), (3, 2)])
+        index = build_chain_index(graph)
+        assert index.chains == ((3, 2), (0, 1))
+        assert index.vectors[1] == {0: 1, 1: 1}
+        assert skipped_merges(graph, index) == [(0, 2)]
+        for engine in ("fast", "paged"):
+            assert_marking_matches_full_merge(graph, None, engine)

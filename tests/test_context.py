@@ -1,12 +1,18 @@
 """Tests for the execution context and shared restructuring phase."""
 
+import pytest
+from hypothesis import given, settings
+
 from repro.core.base import topological_sort_map
 from repro.core.btc import BtcAlgorithm
 from repro.core.context import ExecutionContext
 from repro.core.query import Query, SystemConfig
+from repro.errors import CyclicGraphError
 from repro.graphs.digraph import Digraph
 from repro.storage.iostats import Phase
 from repro.storage.page import PageKind
+
+from conftest import random_dag, random_digraph
 
 
 def restructured(graph, query) -> ExecutionContext:
@@ -82,10 +88,6 @@ class TestTopologicalSortMap:
         assert order == [0, 1, 2]
 
     def test_detects_cycles(self):
-        import pytest
-
-        from repro.errors import CyclicGraphError
-
         with pytest.raises(CyclicGraphError):
             topological_sort_map({0: [1], 1: [0]})
 
@@ -94,3 +96,74 @@ class TestTopologicalSortMap:
         adjacency = {i: [i + 1] for i in range(n - 1)}
         adjacency[n - 1] = []
         assert topological_sort_map(adjacency)[0] == 0
+
+
+def reference_sort_map(adjacency):
+    """The index-frame DFS ``topological_sort_map`` replaced: each frame
+    is ``[node, next_child_index]`` and every resume re-reads the row's
+    length and indexes it.  The iterator-frame sort must match it
+    exactly -- the same order, and on a cycle the same arc."""
+    WHITE, GRAY, BLACK = 0, 1, 2
+    color = dict.fromkeys(adjacency, WHITE)
+    postorder = []
+    for root in sorted(adjacency):
+        if color[root] != WHITE:
+            continue
+        stack = [[root, 0]]
+        color[root] = GRAY
+        while stack:
+            frame = stack[-1]
+            node, child_index = frame
+            children = adjacency[node]
+            advanced = False
+            while child_index < len(children):
+                child = children[child_index]
+                child_index += 1
+                state = color[child]
+                if state == GRAY:
+                    raise CyclicGraphError(
+                        f"cycle detected through arc ({node}, {child})"
+                    )
+                if state == WHITE:
+                    frame[1] = child_index
+                    stack.append([child, 0])
+                    color[child] = GRAY
+                    advanced = True
+                    break
+            if advanced:
+                continue
+            stack.pop()
+            color[node] = BLACK
+            postorder.append(node)
+    postorder.reverse()
+    return postorder
+
+
+def sort_outcome(sort, adjacency):
+    """A sort's order, or the message of the cycle it reports."""
+    try:
+        return sort(adjacency)
+    except CyclicGraphError as exc:
+        return str(exc)
+
+
+class TestTopologicalSortMapExactOrder:
+    @given(random_dag())
+    @settings(max_examples=60, deadline=None)
+    def test_csr_rows_and_lists_match_the_reference(self, graph):
+        expected = reference_sort_map(graph.adjacency_lists())
+        assert topological_sort_map(graph.adjacency_rows()) == expected
+        assert topological_sort_map(graph.adjacency_lists()) == expected
+
+    @given(random_digraph())
+    @settings(max_examples=60, deadline=None)
+    def test_cycles_name_the_reference_arc(self, graph):
+        expected = sort_outcome(reference_sort_map, graph.adjacency_lists())
+        assert sort_outcome(topological_sort_map, graph.adjacency_rows()) == expected
+        assert sort_outcome(topological_sort_map, graph.adjacency_lists()) == expected
+
+    def test_cyclic_cases_are_exercised(self):
+        graph = Digraph.from_arcs(4, [(0, 1), (1, 2), (2, 3), (3, 1)])
+        expected = sort_outcome(reference_sort_map, graph.adjacency_rows())
+        assert expected == "cycle detected through arc (3, 1)"
+        assert sort_outcome(topological_sort_map, graph.adjacency_rows()) == expected

@@ -99,6 +99,15 @@ class TestLoaderTolerance:
         with pytest.raises(IngestError, match=r"cut\.snap\.gz.*truncated.*after line \d+"):
             load_snap(path)
 
+    def test_corrupt_gzip_crc_raises_ingest_error(self, tmp_path):
+        path = tmp_path / "crc.snap.gz"
+        write_snap(path, ((node, node + 1) for node in range(150)))
+        payload = bytearray(path.read_bytes())
+        payload[-8] ^= 0x01  # the trailer's CRC-32 of the member
+        path.write_bytes(bytes(payload))
+        with pytest.raises(IngestError, match=r"crc\.snap\.gz.*corrupt.*CRC check failed"):
+            load_snap(path)
+
     def test_arc_line_accounting_invariant(self, tmp_path):
         path = tmp_path / "mixed.snap"
         path.write_text("# c\n0 1\n0 1\n2 2\n\n1 0\n")

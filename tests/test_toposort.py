@@ -9,6 +9,8 @@ from repro.graphs.digraph import Digraph
 from repro.graphs.generator import generate_dag
 from repro.graphs.toposort import is_acyclic, reachable_from, topological_sort
 
+from conftest import random_dag, random_digraph
+
 
 class TestTopologicalSort:
     def test_respects_every_arc(self):
@@ -48,6 +50,85 @@ class TestTopologicalSort:
         graph = Digraph.from_arcs(n, [(i, i + 1) for i in range(n - 1)])
         order = topological_sort(graph)
         assert order == list(range(n))
+
+
+def reference_sort(graph, nodes=None):
+    """The index-frame DFS ``topological_sort`` replaced: each frame
+    keeps ``(node, next_child_index)`` and re-reads the node's row on
+    every resume.  The iterator-frame sort must match it exactly --
+    the same order, and on a cycle the same arc in the message."""
+    in_scope = None if nodes is None else set(nodes)
+    candidates = graph.nodes() if in_scope is None else sorted(in_scope)
+    WHITE, GRAY, BLACK = 0, 1, 2
+    color = {node: WHITE for node in candidates}
+    postorder = []
+    for root in candidates:
+        if color[root] != WHITE:
+            continue
+        stack = [(root, 0)]
+        color[root] = GRAY
+        while stack:
+            node, child_index = stack[-1]
+            successors = graph.successors(node)
+            advanced = False
+            while child_index < len(successors):
+                child = successors[child_index]
+                child_index += 1
+                if in_scope is not None and child not in in_scope:
+                    continue
+                state = color[child]
+                if state == GRAY:
+                    raise CyclicGraphError(
+                        f"cycle detected through arc ({node}, {child}); "
+                        "condense the graph first (repro.graphs.condensation)"
+                    )
+                if state == WHITE:
+                    stack[-1] = (node, child_index)
+                    stack.append((child, 0))
+                    color[child] = GRAY
+                    advanced = True
+                    break
+            if advanced:
+                continue
+            stack.pop()
+            color[node] = BLACK
+            postorder.append(node)
+    postorder.reverse()
+    return postorder
+
+
+def outcome(sort, *args, **kwargs):
+    """A sort's order, or the message of the cycle it reports."""
+    try:
+        return sort(*args, **kwargs)
+    except CyclicGraphError as exc:
+        return str(exc)
+
+
+class TestExactOrder:
+    @given(random_dag(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_full_and_scoped_sorts_match_the_reference(self, graph, data):
+        assert topological_sort(graph) == reference_sort(graph)
+        subset = data.draw(st.sets(st.sampled_from(graph.nodes())))
+        assert topological_sort(graph, nodes=subset) == reference_sort(
+            graph, nodes=subset
+        )
+
+    @given(random_digraph(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_cycles_name_the_reference_arc(self, graph, data):
+        assert outcome(topological_sort, graph) == outcome(reference_sort, graph)
+        subset = data.draw(st.sets(st.sampled_from(graph.nodes())))
+        assert outcome(topological_sort, graph, nodes=subset) == outcome(
+            reference_sort, graph, nodes=subset
+        )
+
+    def test_cyclic_cases_are_exercised(self):
+        graph = Digraph.from_arcs(4, [(0, 1), (1, 2), (2, 3), (3, 1)])
+        expected = outcome(reference_sort, graph)
+        assert "arc (3, 1)" in expected
+        assert outcome(topological_sort, graph) == expected
 
 
 class TestIsAcyclic:
