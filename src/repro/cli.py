@@ -50,6 +50,7 @@ import json
 import os
 import sys
 import time
+from collections.abc import Iterable, Sequence
 
 from repro.baselines import BASELINE_NAMES, make_baseline
 from repro.chaos.audit import AUDIT_MODES, ENV_AUDIT, set_audit_mode
@@ -457,6 +458,68 @@ def _profile_command(args: argparse.Namespace) -> int:
     return 0
 
 
+# -- verified index answers ----------------------------------------------------
+
+
+def _parse_probes(specs: list[str] | None,
+                  graph: Digraph) -> list[tuple[int, int]] | None:
+    """Parse ``--probe U:V`` flags; a bad node id prints one ``error:``
+    line naming it and the graph's range, and returns None (exit 2)."""
+    from repro.errors import InvalidNodeError
+    from repro.serve.validate import parse_probe
+
+    try:
+        return [parse_probe(spec, graph.num_nodes) for spec in specs or []]
+    except InvalidNodeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return None
+
+
+def _seeded_pairs(seed: int, candidates: Sequence[int], num_nodes: int,
+                  count: int, per_source: int = 1) -> list[tuple[int, int]]:
+    """``count`` seeded ``(u, v)`` pairs: each ``u`` is drawn from
+    ``candidates`` (none drawn if it is empty) and shared by up to
+    ``per_source`` consecutive pairs, each ``v`` is any node."""
+    import random
+
+    rng = random.Random(seed)
+    pairs: list[tuple[int, int]] = []
+    while candidates and len(pairs) < count:
+        u = candidates[rng.randrange(len(candidates))]
+        for _ in range(min(per_source, count - len(pairs))):
+            pairs.append((u, rng.randrange(num_nodes)))
+    return pairs
+
+
+def _check_answers(graph: Digraph, answers: Iterable[tuple[int, int, bool]],
+                   echo: bool = False) -> int:
+    """Check ``(u, v, answer)`` triples against a direct forward search.
+
+    One search serves each run of consecutive triples sharing a source.
+    ``reachable(u, v)`` means a nonempty path, so the search starts
+    from ``u``'s successors: ``u`` reaches itself only on a cycle.
+    Every wrong answer prints one ``MISMATCH`` line on stderr; ``echo``
+    also prints each answer with its verdict.  Returns the number wrong.
+    """
+    from repro.graphs.toposort import reachable_from
+
+    wrong = 0
+    source: int | None = None
+    reached: set[int] = set()
+    for u, v, answer in answers:
+        if u != source:
+            source, reached = u, reachable_from(graph, graph.successors(u))
+        expected = v in reached
+        if echo:
+            print(f"probe reachable({u}, {v}) = {answer}  "
+                  f"verified={'ok' if answer == expected else 'MISMATCH'}")
+        if answer != expected:
+            wrong += 1
+            print(f"MISMATCH reachable({u}, {v}): answer={answer} "
+                  f"search={expected}", file=sys.stderr)
+    return wrong
+
+
 # -- `chains` -----------------------------------------------------------------
 
 
@@ -477,20 +540,14 @@ def _chains_parser() -> argparse.ArgumentParser:
     parser.add_argument("--probe", action="append", default=None, metavar="U:V",
                         help="answer one explicit reachable(U, V) probe "
                         "(repeatable; verified against a direct search)")
-    parser.add_argument("--no-refine", action="store_true",
-                        help="skip the chain-concatenation refinement pass")
     parser.add_argument("--quiet", "-q", action="store_true",
                         help="suppress the banner (keep the summary line)")
     return parser
 
 
 def _chains_command(args: argparse.Namespace) -> int:
-    import random
-
     from repro.core.chains import build_chain_index
     from repro.errors import InvalidNodeError
-    from repro.graphs.toposort import reachable_from
-    from repro.serve.validate import parse_probe
 
     try:
         graph = _build_graph(args)
@@ -502,21 +559,13 @@ def _chains_command(args: argparse.Namespace) -> int:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
-    # Validate the user's probe pairs *before* paying for the index
-    # build: a malformed or out-of-range node id is a clean exit 2 with
-    # the offending value and the graph's range, never a traceback.
-    probes: list[tuple[int, int]] = []
-    try:
-        for spec in args.probe or []:
-            probes.append(parse_probe(spec, graph.num_nodes))
-    except InvalidNodeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    # Validate the user's probe pairs *before* paying for the index build.
+    probes = _parse_probes(args.probe, graph)
+    if probes is None:
         return 2
 
     try:
-        index = build_chain_index(
-            graph, sources, config, refine=not args.no_refine
-        )
+        index = build_chain_index(graph, sources, config)
     except Exception as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
@@ -529,33 +578,22 @@ def _chains_command(args: argparse.Namespace) -> int:
     build_io = index.metrics.total_io
     vector_entries = sum(len(vector) for vector in index.vectors.values())
 
-    # Seeded spot queries, each checked against a fresh forward search.
-    # The index must not touch any storage while answering: the build
-    # metrics are frozen, so any page I/O drift is a hard failure.
-    failures = 0
+    # Explicit probes, then seeded spot queries, all verified.  The index
+    # must not touch any storage while answering: the build metrics are
+    # frozen, so any page I/O drift is a hard failure.
+    answers: list[tuple[int, int, bool]] = []
     for u, v in probes:
         try:
-            got = index.reachable(u, v)
+            answers.append((u, v, index.reachable(u, v)))
         except InvalidNodeError as exc:
             print(f"error: probe {u}:{v}: {exc}", file=sys.stderr)
             return 2
-        expected = v != u and v in reachable_from(graph, [u])
-        verdict = "ok" if got == expected else "MISMATCH"
-        print(f"probe reachable({u}, {v}) = {got}  verified={verdict}")
-        if got != expected:
-            failures += 1
-
-    rng = random.Random(args.seed)
-    candidates = list(sources) if sources is not None else list(graph.nodes())
-    for _ in range(max(0, args.queries)):
-        u = rng.choice(candidates)
-        v = rng.randrange(graph.num_nodes)
-        got = index.reachable(u, v)
-        expected = v != u and v in reachable_from(graph, [u])
-        if got != expected:
-            failures += 1
-            print(f"MISMATCH reachable({u}, {v}): index={got} search={expected}",
-                  file=sys.stderr)
+    failures = _check_answers(graph, answers, echo=True)
+    candidates = sources if sources is not None else graph.nodes()
+    pairs = _seeded_pairs(args.seed, candidates, graph.num_nodes, args.queries)
+    failures += _check_answers(
+        graph, [(u, v, index.reachable(u, v)) for u, v in pairs]
+    )
     if index.metrics.total_io != build_io:
         print(f"error: page I/O moved during queries "
               f"({build_io} -> {index.metrics.total_io})", file=sys.stderr)
@@ -567,7 +605,7 @@ def _chains_command(args: argparse.Namespace) -> int:
 
     print(f"chains: k={index.k} nodes={len(index.vectors)} "
           f"vector_entries={vector_entries} build_io={build_io} "
-          f"queries={max(0, args.queries)} verified=ok")
+          f"queries={len(pairs)} verified=ok")
     return 0
 
 
@@ -615,8 +653,6 @@ def _serve_parser() -> argparse.ArgumentParser:
     service.add_argument("--build-retries", type=int, default=2,
                          help="retried attempts per index (re)build "
                          "(default 2)")
-    service.add_argument("--no-refine", action="store_true",
-                         help="skip the chain-concatenation refinement pass")
     checks = parser.add_argument_group("checks")
     checks.add_argument("--self-check", type=int, default=None, metavar="N",
                         help="start on an ephemeral socket, answer N seeded "
@@ -642,9 +678,7 @@ def _serve_parser() -> argparse.ArgumentParser:
 def _serve_command(args: argparse.Namespace) -> int:
     import asyncio
 
-    from repro.errors import InvalidNodeError
     from repro.serve.service import ReachabilityService, ServeConfig
-    from repro.serve.validate import parse_probe
 
     try:
         if args.chaos:
@@ -663,18 +697,13 @@ def _serve_command(args: argparse.Namespace) -> int:
             breaker_threshold=args.breaker_threshold,
             breaker_reset_s=args.breaker_reset,
             build_retries=args.build_retries,
-            refine=not args.no_refine,
         )
     except Exception as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 
-    probes: list[tuple[int, int]] = []
-    try:
-        for spec in args.probe or []:
-            probes.append(parse_probe(spec, graph.num_nodes))
-    except InvalidNodeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    probes = _parse_probes(args.probe, graph)
+    if probes is None:
         return 2
 
     service = ReachabilityService(graph, sources, config, serve_config)
@@ -702,7 +731,7 @@ async def _serve_main(args: argparse.Namespace, graph: Digraph,
                       probes: list[tuple[int, int]]) -> int:
     import asyncio
 
-    from repro.graphs.toposort import reachable_from
+    from repro.errors import InvalidNodeError
     from repro.serve.http import ServeServer
 
     built = await service.build()
@@ -716,16 +745,15 @@ async def _serve_main(args: argparse.Namespace, graph: Digraph,
         if service.index is None:
             print("error: no index available to answer probes", file=sys.stderr)
             return 1
-        failures = 0
+        answers: list[tuple[int, int, bool]] = []
         for u, v in probes:
-            answer = await service.reachable(u, v)
-            expected = v != u and v in reachable_from(graph, [u])
-            verdict = "ok" if answer["reachable"] == expected else "MISMATCH"
-            print(f"probe reachable({u}, {v}) = {answer['reachable']}  "
-                  f"verified={verdict}")
-            if answer["reachable"] != expected:
-                failures += 1
-        return 1 if failures else 0
+            try:
+                answer = await service.reachable(u, v)
+            except InvalidNodeError as exc:
+                print(f"error: probe {u}:{v}: {exc}", file=sys.stderr)
+                return 2
+            answers.append((u, v, answer["reachable"]))
+        return 1 if _check_answers(graph, answers, echo=True) else 0
 
     if args.self_check is not None:
         return await _serve_self_check(args, graph, service)
@@ -745,57 +773,53 @@ async def _serve_main(args: argparse.Namespace, graph: Digraph,
 async def _serve_self_check(args: argparse.Namespace, graph: Digraph,
                             service: "ReachabilityService") -> int:
     """CI smoke mode: seeded, oracle-verified queries over a live socket."""
-    import random
+    import shutil
     import tempfile
 
-    from repro.graphs.toposort import reachable_from
     from repro.serve.http import ServeClient, ServeServer
 
-    ephemeral_uds = None
-    if args.uds is not None:
-        server = ServeServer(service, uds=args.uds)
-    elif args.port == 8642:  # default: self-check prefers a throwaway UDS
-        ephemeral_uds = tempfile.mktemp(prefix="repro-serve-", suffix=".sock")
-        args.uds = ephemeral_uds
-        server = ServeServer(service, uds=args.uds)
-    else:
-        server = ServeServer(service, host=args.host, port=args.port)
-    await server.start()
-    client = (ServeClient(uds=args.uds) if args.uds is not None
-              else ServeClient(host=args.host, port=server.port))
-    rng = random.Random(args.seed)
-    candidates = (list(service.sources) if service.sources is not None
-                  else list(graph.nodes()))
-    wrong = 0
+    candidates = service.sources if service.sources is not None else graph.nodes()
+    if not candidates:
+        print("error: --self-check has no source node to draw queries from",
+              file=sys.stderr)
+        return 1
+    pairs = _seeded_pairs(args.seed, candidates, graph.num_nodes, args.self_check)
+    uds = args.uds
+    socket_dir = None
+    if uds is None and args.port == 8642:
+        # Default: a throwaway UDS in a fresh private directory, so nobody
+        # can take the socket's name between choosing it and binding it.
+        socket_dir = tempfile.mkdtemp(prefix="repro-serve-")
+        uds = os.path.join(socket_dir, "serve.sock")
+    server = (ServeServer(service, uds=uds) if uds is not None
+              else ServeServer(service, host=args.host, port=args.port))
+    answers: list[tuple[int, int, bool]] = []
     non_ok = 0
-    answered = 0
     try:
-        for _ in range(max(0, args.self_check)):
-            u = rng.choice(candidates)
-            v = rng.randrange(graph.num_nodes)
-            status, payload = await client.reachable(u, v)
-            if status != 200:
-                non_ok += 1
-                continue
-            answered += 1
-            expected = v != u and v in reachable_from(graph, [u])
-            if payload["reachable"] != expected:
-                wrong += 1
-                print(f"WRONG reachable({u}, {v}): served="
-                      f"{payload['reachable']} search={expected}",
-                      file=sys.stderr)
-        health_status, health = await client.get("/healthz")
-        ready_status, ready = await client.get("/readyz")
-        expect_ready = 200 if service.state == "ready" else 503
-        health_ok = health_status == 200 and health.get("status") == "ok"
-        ready_ok = (ready_status == expect_ready
-                    and ready.get("state") == service.state)
+        await server.start()
+        client = (ServeClient(uds=uds) if uds is not None
+                  else ServeClient(host=args.host, port=server.port))
+        try:
+            for u, v in pairs:
+                status, payload = await client.reachable(u, v)
+                if status == 200:
+                    answers.append((u, v, payload["reachable"]))
+                else:
+                    non_ok += 1
+            health_status, health = await client.get("/healthz")
+            ready_status, ready = await client.get("/readyz")
+            expect_ready = 200 if service.state == "ready" else 503
+            health_ok = health_status == 200 and health.get("status") == "ok"
+            ready_ok = (ready_status == expect_ready
+                        and ready.get("state") == service.state)
+        finally:
+            await client.close()
     finally:
-        await client.close()
         await server.close()
-        if ephemeral_uds is not None and os.path.exists(ephemeral_uds):
-            os.unlink(ephemeral_uds)
-    print(f"self-check: {answered}/{max(0, args.self_check)} answered "
+        if socket_dir is not None:
+            shutil.rmtree(socket_dir, ignore_errors=True)
+    wrong = _check_answers(graph, answers)
+    print(f"self-check: {len(answers)}/{len(pairs)} answered "
           f"({non_ok} non-200), wrong={wrong}, state={service.state}, "
           f"healthz={'ok' if health_ok else 'FAIL'}, "
           f"readyz={'ok' if ready_ok else 'FAIL'} on {server.endpoint}")
@@ -976,13 +1000,11 @@ def _ingest_parser() -> argparse.ArgumentParser:
 
 
 def _ingest_command(args: argparse.Namespace) -> int:
-    import random
     import resource
 
     from repro.core.chains import build_chain_index
     from repro.errors import IngestError
     from repro.graphs.ingest import load_snap
-    from repro.graphs.toposort import reachable_from
 
     started = time.perf_counter()
     try:
@@ -1022,31 +1044,16 @@ def _ingest_command(args: argparse.Namespace) -> int:
         build_seconds = time.perf_counter() - started
         vector_entries = sum(len(vector) for vector in index.vectors.values())
 
-        # Verified probes, batched: a handful of sources share one
-        # direct forward search each, so the oracle cost stays linear
-        # while every index answer is still independently checked.
-        probes = max(0, args.probes)
-        failures = 0
-        if probes and graph.num_nodes:
-            rng = random.Random(args.seed)
-            num_sources = max(1, min(16, probes // 64 + 1))
-            per_source = -(-probes // num_sources)  # ceil
-            done = 0
-            for _ in range(num_sources):
-                if done >= probes:
-                    break
-                u = rng.randrange(graph.num_nodes)
-                closure = reachable_from(graph, [u])
-                for _ in range(min(per_source, probes - done)):
-                    v = rng.randrange(graph.num_nodes)
-                    got = index.reachable(u, v)
-                    expected = v != u and v in closure
-                    if got != expected:
-                        failures += 1
-                        print(f"MISMATCH reachable({u}, {v}): index={got} "
-                              f"search={expected}", file=sys.stderr)
-                    done += 1
-            probes = done
+        # Verified probes, batched: at most 16 sources share one direct
+        # forward search each, so the oracle cost stays linear while
+        # every index answer is still independently checked.
+        num_sources = max(1, min(16, args.probes // 64 + 1))
+        pairs = _seeded_pairs(args.seed, graph.nodes(), graph.num_nodes,
+                              args.probes, -(-args.probes // num_sources))
+        failures = _check_answers(
+            graph, [(u, v, index.reachable(u, v)) for u, v in pairs]
+        )
+        probes = len(pairs)
         print(f"index: k={index.k} vector_entries={vector_entries} "
               f"build={build_seconds:.2f}s probes={probes} "
               f"verified={'ok' if not failures else 'FAILED'}")

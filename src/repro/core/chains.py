@@ -136,11 +136,8 @@ class ChainsAlgorithm(TwoPhaseAlgorithm):
 
     name = "chains"
 
-    def __init__(self, refine: bool = True) -> None:
-        self.refine = refine
-
     def compute(self, ctx: ExecutionContext) -> None:
-        deco = decompose_chains(ctx.adjacency, ctx.topo_order, refine=self.refine)
+        deco = decompose_chains(ctx.adjacency, ctx.topo_order)
         vector_store, vectors = _build_vectors(ctx, deco)
         self._emit_closure(ctx, deco, vectors, vector_store)
 
@@ -316,8 +313,7 @@ class _ChainIndexBuilder(ChainsAlgorithm):
     *vector* pages, because the vectors are this run's answer.
     """
 
-    def __init__(self, refine: bool = True) -> None:
-        super().__init__(refine)
+    def __init__(self) -> None:
         self.deco: ChainDecomposition | None = None
         self.vectors: dict[int, dict[int, int]] = {}
         self._vector_store: ListStore | None = None
@@ -343,7 +339,7 @@ class _ChainIndexBuilder(ChainsAlgorithm):
             acquired[node] = 0
 
     def compute(self, ctx: ExecutionContext) -> None:
-        self.deco = decompose_chains(ctx.adjacency, ctx.topo_order, refine=self.refine)
+        self.deco = decompose_chains(ctx.adjacency, ctx.topo_order)
         self._vector_store, self.vectors = _build_vectors(ctx, self.deco)
 
     def write_out(self, ctx: ExecutionContext) -> list[int]:
@@ -363,8 +359,6 @@ def build_chain_index(
     graph: Digraph,
     sources: list[int] | None = None,
     system: SystemConfig | None = None,
-    *,
-    refine: bool = True,
 ) -> ChainIndex:
     """Build a frozen :class:`ChainIndex` over ``graph``.
 
@@ -375,7 +369,7 @@ def build_chain_index(
     configuration charged for the build.
     """
     try:
-        return _build_dag_index(graph, sources, system, refine=refine)
+        return _build_dag_index(graph, sources, system)
     except CyclicGraphError:
         pass
     cond = condensation(graph)
@@ -385,7 +379,7 @@ def build_chain_index(
         for node in sources:
             seen[cond.component_of[node]] = None
         comp_sources = list(seen)
-    inner = _build_dag_index(cond.dag, comp_sources, system, refine=refine)
+    inner = _build_dag_index(cond.dag, comp_sources, system)
     return ChainIndex(
         num_nodes=graph.num_nodes,
         chains=inner.chains,
@@ -404,10 +398,8 @@ def _build_dag_index(
     graph: Digraph,
     sources: list[int] | None,
     system: SystemConfig | None,
-    *,
-    refine: bool,
 ) -> ChainIndex:
-    builder = _ChainIndexBuilder(refine=refine)
+    builder = _ChainIndexBuilder()
     query = Query.full() if sources is None else Query.ptc(list(sources))
     result = builder.run(graph, query, system)
     deco = builder.deco

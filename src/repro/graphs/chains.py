@@ -9,18 +9,20 @@ reachability index: store, per node, the minimal position it reaches in
 every chain, and ``reachable(u, v)`` reduces to one position
 comparison.
 
-Two passes are implemented, both deterministic:
+The decomposition is one deterministic **node-order greedy** pass
+(the first stage of the practical paper's concatenation heuristic):
+walk the nodes in topological order; append each node to the chain
+whose current tail is one of its parents (lowest chain id wins the
+tie), or open a new chain.  k always stays >= the width of the DAG
+(any antichain meets each chain at most once).
 
-* **Node-order greedy** (the concatenation heuristic's first stage):
-  walk the nodes in topological order; append each node to the chain
-  whose current tail is one of its parents (lowest chain id wins the
-  tie), or open a new chain.
-* **Concatenation refinement** (optional, on by default): repeatedly
-  join whole chains end to end whenever an arc runs from one chain's
-  tail to another chain's head.  This is the LP-free pass of the
-  practical decomposition paper -- it only ever lowers k, never raises
-  it, and k always stays >= the width of the DAG (any antichain meets
-  each chain at most once).
+The heuristic's second stage -- joining whole chains end to end along
+an arc from one chain's tail to another chain's head -- can never
+apply after this greedy, so it is not implemented.  Take a chain's
+final tail ``t`` and an arc ``t -> h``: ``t`` precedes ``h`` in the
+order and nothing is ever appended after a final tail, so ``t`` is
+still a tail when ``h`` is placed, and ``h`` joins a chain instead of
+opening one.  No final tail has an arc to a chain head.
 
 The decomposition is a pure graph computation: no storage engine is
 involved here.  :mod:`repro.core.chains` layers the paper-style cost
@@ -64,14 +66,15 @@ class ChainDecomposition:
 def decompose_chains(
     adjacency: Mapping[int, Sequence[int]],
     order: list[int],
-    *,
-    refine: bool = True,
 ) -> ChainDecomposition:
-    """Decompose an adjacency mapping into chains.
+    """Decompose an adjacency mapping into chains in one greedy pass.
 
     ``order`` must be a topological order of ``adjacency``'s nodes (the
     restructuring phase already computed one, so callers pass it in
-    instead of re-sorting).  ``refine`` enables the concatenation pass.
+    instead of re-sorting).  No chain's final tail has an arc to another
+    chain's head (see the module docstring), so concatenating chains
+    end to end could not lower k.  ``chain_of`` and ``position_of`` are
+    filled in placement order.
 
     The result is a pure function of ``(adjacency, order)``: ties are
     broken by chain id, so repeated runs -- in any process -- produce
@@ -103,15 +106,6 @@ def decompose_chains(
         position_of[node] = len(chains[best]) - 1
         tail_chain[node] = best
 
-    if refine:
-        chains = _concatenate(chains, adjacency)
-        chain_of = {}
-        position_of = {}
-        for chain_id, chain in enumerate(chains):
-            for position, node in enumerate(chain):
-                chain_of[node] = chain_id
-                position_of[node] = position
-
     return ChainDecomposition(
         chains=tuple(tuple(chain) for chain in chains),
         chain_of=chain_of,
@@ -119,44 +113,9 @@ def decompose_chains(
     )
 
 
-def _concatenate(
-    chains: list[list[int]], adjacency: Mapping[int, Sequence[int]]
-) -> list[list[int]]:
-    """Join chains end to end along arcs until no join applies.
-
-    Scans are in ascending chain id and the lowest-id joinable head
-    wins, so the fixpoint is deterministic.  Each pass either merges at
-    least two chains or terminates, bounding the loop at k iterations.
-    """
-    merged = [list(chain) for chain in chains]
-    changed = True
-    while changed:
-        changed = False
-        heads = {chain[0]: index for index, chain in enumerate(merged) if chain}
-        for index, chain in enumerate(merged):
-            if not chain:
-                continue
-            tail = chain[-1]
-            best: int | None = None
-            for child in adjacency[tail]:
-                candidate = heads.get(child)
-                if candidate is not None and candidate != index and (
-                    best is None or candidate < best
-                ):
-                    best = candidate
-            if best is not None:
-                del heads[merged[best][0]]
-                chain.extend(merged[best])
-                merged[best] = []
-                changed = True
-    return [chain for chain in merged if chain]
-
-
 def chain_decomposition(
     graph: Digraph,
     nodes: list[int] | None = None,
-    *,
-    refine: bool = True,
 ) -> ChainDecomposition:
     """Decompose a :class:`Digraph` (or an induced node subset).
 
@@ -178,4 +137,4 @@ def chain_decomposition(
             node: [child for child in graph.successors(node) if child in in_scope]
             for node in order
         }
-    return decompose_chains(adjacency, order, refine=refine)
+    return decompose_chains(adjacency, order)

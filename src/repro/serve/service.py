@@ -112,9 +112,6 @@ class ServeConfig:
     backoff_max_s: float = 2.0
     """Cap on any single rebuild backoff sleep."""
 
-    refine: bool = True
-    """Run the chain-concatenation refinement pass during builds."""
-
     def __post_init__(self) -> None:
         if self.deadline_ms <= 0:
             raise ValueError(f"deadline_ms must be > 0, got {self.deadline_ms}")
@@ -256,9 +253,7 @@ class ReachabilityService:
                     f"injected index-rebuild crash "
                     f"(chaos opportunity {event.opportunity})"
                 )
-        return build_chain_index(
-            self.graph, self.sources, self.system, refine=self.config.refine
-        )
+        return build_chain_index(self.graph, self.sources, self.system)
 
     async def build(self) -> bool:
         """One breaker-guarded, retried (re)build; ``True`` on success.

@@ -3,9 +3,10 @@
 Three layers are exercised:
 
 * the pure decomposition (:mod:`repro.graphs.chains`): chains must be a
-  vertex-disjoint path cover, refinement may only lower k, and k can
-  never drop below the DAG's width (checked through the max-antichain
-  lower bound given by node levels);
+  vertex-disjoint path cover, no chain's final tail may have an arc to
+  a chain head (so concatenating chains could never lower k), and k
+  can never drop below the DAG's width (checked through the
+  max-antichain lower bound given by node levels);
 * the frozen :class:`repro.core.chains.ChainIndex`: ``reachable`` and
   ``successors`` must agree with a plain BFS oracle on every pair, in
   O(k) per probe without re-materialising the closure (page-I/O
@@ -30,11 +31,12 @@ from repro.core.chains import VECTOR_BLOCK_CAPACITY, build_chain_index
 from repro.core.query import Query, SystemConfig
 from repro.core.registry import make_algorithm
 from repro.graphs.analysis import node_levels
-from repro.graphs.chains import chain_decomposition
+from repro.graphs.chains import chain_decomposition, decompose_chains
 from repro.graphs.condensation import condensation
 from repro.graphs.digraph import Digraph
 from repro.graphs.generator import generate_dag
 from repro.graphs.ingest import iter_braided_arcs
+from repro.graphs.toposort import reachable_from
 from repro.paths.closure import path_counts
 from repro.storage.engine import PageKind
 
@@ -58,45 +60,78 @@ def bfs_closure(graph) -> dict[int, set[int]]:
     return closure
 
 
+def random_topological_order(graph, rng):
+    """Kahn's algorithm, taking a random ready node at every step."""
+    indegree = [0] * graph.num_nodes
+    for node in graph.nodes():
+        for child in graph.successors(node):
+            indegree[child] += 1
+    ready = [node for node in graph.nodes() if not indegree[node]]
+    order = []
+    while ready:
+        node = ready.pop(rng.randrange(len(ready)))
+        order.append(node)
+        for child in graph.successors(node):
+            indegree[child] -= 1
+            if not indegree[child]:
+                ready.append(child)
+    return order
+
+
+def assert_no_final_tail_has_an_arc_to_a_head(graph, deco):
+    """The greedy's invariant: a chain's final tail has no arc to any
+    chain head, so no concatenation of two chains can apply."""
+    heads = {chain[0] for chain in deco.chains}
+    for chain in deco.chains:
+        tail = chain[-1]
+        joinable = heads.intersection(graph.successors(tail))
+        assert not joinable, f"tail {tail} has an arc to head(s) {joinable}"
+
+
 class TestDecomposition:
     @given(random_dag())
     @settings(max_examples=60, deadline=None)
     def test_chains_are_a_vertex_disjoint_path_cover(self, graph):
-        for refine in (False, True):
-            deco = chain_decomposition(graph, refine=refine)
-            covered = [node for chain in deco.chains for node in chain]
-            assert sorted(covered) == list(graph.nodes())
-            for chain_id, chain in enumerate(deco.chains):
-                assert chain, "empty chains must be filtered out"
-                for position, node in enumerate(chain):
-                    assert deco.chain_of[node] == chain_id
-                    assert deco.position_of[node] == position
-                for src, dst in zip(chain, chain[1:]):
-                    assert dst in graph.successors(src), (
-                        f"({src}, {dst}) is not an arc of the graph"
-                    )
+        deco = chain_decomposition(graph)
+        covered = [node for chain in deco.chains for node in chain]
+        assert sorted(covered) == list(graph.nodes())
+        for chain_id, chain in enumerate(deco.chains):
+            assert chain, "empty chains must be filtered out"
+            for position, node in enumerate(chain):
+                assert deco.chain_of[node] == chain_id
+                assert deco.position_of[node] == position
+            for src, dst in zip(chain, chain[1:]):
+                assert dst in graph.successors(src), (
+                    f"({src}, {dst}) is not an arc of the graph"
+                )
 
-    @given(random_dag())
+    @given(random_dag(), st.data())
     @settings(max_examples=60, deadline=None)
-    def test_refinement_never_increases_k(self, graph):
-        greedy = chain_decomposition(graph, refine=False)
-        refined = chain_decomposition(graph, refine=True)
-        assert refined.k <= greedy.k
+    def test_no_final_tail_has_an_arc_to_a_chain_head(self, graph, data):
+        assert_no_final_tail_has_an_arc_to_a_head(graph, chain_decomposition(graph))
+        # A PTC scope: the induced subgraph the index builds over.
+        sources = data.draw(
+            st.lists(st.sampled_from(graph.nodes()), min_size=1, max_size=3, unique=True)
+        )
+        scope = sorted(reachable_from(graph, sources))
+        assert_no_final_tail_has_an_arc_to_a_head(graph, chain_decomposition(graph, scope))
+        # Any topological order, not only the sort's.
+        order = random_topological_order(graph, data.draw(st.randoms()))
+        deco = decompose_chains(graph.adjacency_lists(), order)
+        assert_no_final_tail_has_an_arc_to_a_head(graph, deco)
 
     @given(random_dag())
     @settings(max_examples=60, deadline=None)
     def test_k_respects_the_width_lower_bound(self, graph):
         """Nodes sharing a level form an antichain, and an antichain
         meets every chain at most once -- so k >= the largest level
-        population, with or without refinement."""
+        population."""
         levels = node_levels(graph)
         population: dict[int, int] = {}
         for level in levels.values():
             population[level] = population.get(level, 0) + 1
         width_bound = max(population.values(), default=0)
-        for refine in (False, True):
-            deco = chain_decomposition(graph, refine=refine)
-            assert deco.k >= width_bound
+        assert chain_decomposition(graph).k >= width_bound
 
     @given(random_dag())
     @settings(max_examples=30, deadline=None)
@@ -122,14 +157,6 @@ class TestChainIndexOnDags:
                     src,
                     dst,
                 )
-
-    @given(random_dag())
-    @settings(max_examples=20, deadline=None)
-    def test_unrefined_index_answers_identically(self, graph):
-        closure = bfs_closure(graph)
-        index = build_chain_index(graph, refine=False)
-        for src in graph.nodes():
-            assert index.successors(src) == sorted(closure[src])
 
     def test_queries_keep_page_io_flat_on_the_paged_engine(self):
         """The acceptance criterion of the index: once built, a probe

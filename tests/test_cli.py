@@ -1,11 +1,13 @@
 """Tests for the command line front end."""
 
 import json
+import os
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+from repro.core.chains import ChainIndex
 from repro.graphs.ingest import write_snap
 from repro.obs.compare import load_records
 
@@ -240,6 +242,30 @@ class TestIngestCommand:
             assert "verified=ok" in out
             assert "k=" in out
 
+    def test_graph_without_nodes_reports_zero_probes(self, tmp_path, capsys):
+        empty = tmp_path / "empty.snap"
+        empty.write_text("# comments only, no arcs\n")
+        out_file = tmp_path / "empty.json"
+        code = main(["ingest", str(empty), "--build-index", "--engine", "fast",
+                     "--probes", "100", "--emit-json", str(out_file), "-q"])
+        assert code == 0
+        assert "probes=0 verified=ok" in capsys.readouterr().out
+        payload = json.loads(out_file.read_text())
+        assert payload["index"]["probes"] == 0
+        assert payload["index"]["probe_failures"] == 0
+
+    def test_node_on_a_cycle_reaches_itself(self, tmp_path, capsys):
+        """The oracle searches from the source's successors: a node on
+        a cycle reaches itself, as the condensed index answers."""
+        cyclic = tmp_path / "cycle.snap"
+        cyclic.write_text("0 1\n1 2\n2 0\n2 3\n")
+        for seed in range(6):
+            code = main(["ingest", str(cyclic), "--build-index", "--engine",
+                         "fast", "--probes", "50", "--seed", str(seed), "-q"])
+            captured = capsys.readouterr()
+            assert code == 0, captured.err
+            assert "probes=50 verified=ok" in captured.out
+
     def test_emit_json_payload(self, tmp_path, capsys):
         out_file = tmp_path / "ingest.json"
         code = main(["ingest", str(self.FIXTURES / "tiny.snap"),
@@ -293,6 +319,25 @@ class TestServeCommand:
         assert main([*self.WORKLOAD, "--probe", "0:9999"]) == 2
         assert "outside the graph's range" in capsys.readouterr().err
 
+    def test_probe_outside_the_indexed_scope_exits_two(self, capsys):
+        assert main([*self.WORKLOAD, "--sources", "2", "--probe", "0:1"]) == 2
+        err = capsys.readouterr().err
+        assert "error: probe 0:1: source node 0 is not covered" in err
+        assert "Traceback" not in err
+
+    def test_self_check_without_sources_exits_one(self, capsys):
+        assert main([*self.WORKLOAD, "--sources", "0", "--self-check", "5"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "no source node" in err
+        assert "Traceback" not in err
+
+    def test_self_check_removes_its_socket_directory(self, capsys):
+        assert main([*self.WORKLOAD, "--self-check", "5"]) == 0
+        endpoint = capsys.readouterr().out.rsplit(" on unix:", 1)[1].strip()
+        assert endpoint.endswith(".sock")
+        assert not os.path.exists(os.path.dirname(endpoint))
+
     def test_self_check_emits_serve_run_record(self, tmp_path, capsys):
         out = tmp_path / "serve.jsonl"
         assert main([*self.WORKLOAD, "--self-check", "20",
@@ -321,3 +366,28 @@ class TestServeCommand:
         record = json.loads(out.read_text())
         assert record["algorithm"] == "serve"
         assert "latency_p99_ms" in record["metrics"]
+
+
+class TestWrongAnswersAreCaught:
+    """Every verified path must notice an index that answers wrongly."""
+
+    FIXTURE = str(Path(__file__).parent / "fixtures" / "ingest" / "braid_small.snap.gz")
+    GRAPH = ["--nodes", "150", "--seed", "3", "--engine", "fast"]
+
+    @pytest.fixture(autouse=True)
+    def wrong_index(self, monkeypatch):
+        right = ChainIndex.reachable
+        monkeypatch.setattr(
+            ChainIndex, "reachable", lambda self, u, v: not right(self, u, v)
+        )
+
+    @pytest.mark.parametrize("argv", [
+        ["chains", *GRAPH, "--queries", "10", "-q"],
+        ["chains", *GRAPH, "--queries", "0", "--probe", "0:100", "-q"],
+        ["ingest", FIXTURE, "--build-index", "--engine", "fast", "--probes", "20", "-q"],
+        ["serve", *GRAPH, "--probe", "0:100"],
+        ["serve", *GRAPH, "--self-check", "10"],
+    ], ids=["chains", "chains-probe", "ingest", "serve-probe", "serve-self-check"])
+    def test_path_exits_one_naming_the_pair(self, argv, capsys):
+        assert main(argv) == 1
+        assert "MISMATCH reachable(" in capsys.readouterr().err
