@@ -18,9 +18,15 @@ benchmark cell and written to ``BENCH_summary.json`` at the repository
 root -- the perf trajectory later changes are diffed against (see
 ``python -m repro compare`` and docs/OBSERVABILITY.md).
 
-Repetitions: ``--repro-reps N`` repeats every run N times.  The
-simulated counters are deterministic, so this purely multiplies the
-timing samples -- the summary records min-of-N ``cpu_seconds`` /
+Execution: one :class:`~repro.experiments.parallel.ExperimentEngine`
+runs every table and figure grid of the session -- in this process at
+``--repro-jobs 1``, across worker processes otherwise -- and its cell
+memo replays a cell another benchmark already ran.
+
+Repetitions: ``--repro-reps N`` sets the engine's repetition count, so
+every run is repeated N times at any ``--repro-jobs``.  The simulated
+counters are deterministic, so this purely multiplies the timing
+samples -- the summary records min-of-N ``cpu_seconds`` /
 ``wall_seconds`` plus every sample, which is what the compare gate's
 noise band needs.
 """
@@ -39,8 +45,8 @@ def pytest_addoption(parser):
         "--repro-jobs",
         type=int,
         default=1,
-        help="worker processes for the experiment grids (default: 1 = serial; "
-        "run records still merge into the session sink in canonical order)",
+        help="worker processes for the experiment grids (default: 1 = "
+        "in-process; run records merge into the session sink in canonical order)",
     )
     parser.addoption(
         "--repro-reps",
@@ -60,29 +66,26 @@ def profile(request):
 
 def pytest_sessionstart(session):
     from repro.experiments.parallel import ExperimentEngine, set_engine
-    from repro.obs.bench import set_bench_reps
     from repro.obs.sink import MemorySink, set_global_sink
 
     sink = MemorySink()
     session.config._repro_bench_sink = sink
     session.config._repro_prev_sink = set_global_sink(sink)
-    session.config._repro_prev_reps = set_bench_reps(
-        session.config.getoption("--repro-reps")
-    )
 
-    jobs = session.config.getoption("--repro-jobs")
-    if jobs > 1:
-        # One engine (and one worker pool with its per-worker graph
-        # caches) for the whole benchmark session; workers return their
-        # records to this process, which feeds the MemorySink above.
-        engine = ExperimentEngine(jobs=jobs)
-        session.config._repro_engine = engine
-        session.config._repro_prev_engine = set_engine(engine)
+    # One engine (with its worker pool and per-worker graph caches at
+    # --repro-jobs > 1) for the whole benchmark session; its records
+    # reach this process's MemorySink above in canonical order.
+    engine = ExperimentEngine(
+        jobs=session.config.getoption("--repro-jobs"),
+        reps=session.config.getoption("--repro-reps"),
+    )
+    session.config._repro_engine = engine
+    session.config._repro_prev_engine = set_engine(engine)
 
 
 def pytest_sessionfinish(session, exitstatus):
     from repro.experiments.parallel import set_engine
-    from repro.obs.bench import build_bench_summary, set_bench_reps, write_bench_summary
+    from repro.obs.bench import build_bench_summary, write_bench_summary
     from repro.obs.sink import set_global_sink
 
     engine = getattr(session.config, "_repro_engine", None)
@@ -94,7 +97,6 @@ def pytest_sessionfinish(session, exitstatus):
     if sink is None:
         return
     set_global_sink(getattr(session.config, "_repro_prev_sink", None))
-    set_bench_reps(getattr(session.config, "_repro_prev_reps", 1))
     summary = build_bench_summary(sink.records)
     if not summary:
         return

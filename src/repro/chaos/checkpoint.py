@@ -11,7 +11,8 @@ and every per-run :class:`~repro.obs.record.RunRecord` of the cell.
 Crash safety: each line is written whole, flushed, and fsynced before
 the engine moves on, so the journal never holds a half-cell; at worst
 the final line is truncated mid-write, which :meth:`SweepJournal.load`
-tolerates (with a warning) by discarding it.
+tolerates (with a warning) by discarding it.  A malformed line anywhere
+else raises :class:`~repro.errors.RecordFileError` naming ``file:line``.
 
 Resuming with the same journal replays each journaled cell -- the
 records go back out to the sinks in their canonical order and the
@@ -33,6 +34,7 @@ import sys
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Any
 
+from repro.errors import RecordFileError
 from repro.obs.record import RunRecord
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -154,6 +156,13 @@ class SweepJournal:
                 continue
             try:
                 data = json.loads(stripped)
+                if not isinstance(data, dict):
+                    raise TypeError(f"expected a JSON object, got {type(data).__name__}")
+                if not isinstance(data["metrics"], dict):
+                    raise TypeError("'metrics' is not an object")
+                if not (isinstance(data["records"], list)
+                        and all(isinstance(r, dict) for r in data["records"])):
+                    raise TypeError("'records' is not a list of record objects")
                 metrics = AveragedMetrics(
                     **{k: v for k, v in data["metrics"].items() if k in known}
                 )
@@ -169,7 +178,7 @@ class SweepJournal:
                         file=sys.stderr,
                     )
                     continue
-                raise ValueError(
+                raise RecordFileError(
                     f"{self.path}:{number}: corrupt checkpoint line "
                     f"(only the final line may be truncated): {exc}"
                 ) from exc

@@ -51,35 +51,39 @@ import os
 import sys
 import time
 from collections.abc import Iterable, Sequence
+from typing import TYPE_CHECKING
 
-from repro.baselines import BASELINE_NAMES, make_baseline
+from repro.baselines import BASELINE_NAMES
 from repro.chaos.audit import AUDIT_MODES, ENV_AUDIT, set_audit_mode
 from repro.chaos.faults import ENV_CHAOS, FaultPlan, set_fault_plan
-from repro.core.base import TwoPhaseAlgorithm
-from repro.core.query import Query, SystemConfig
+from repro.core.query import SystemConfig
 from repro.core.registry import ALGORITHM_NAMES, make_algorithm
-from repro.graphs.datasets import build_graph, sample_sources
 from repro.graphs.digraph import Digraph
-from repro.graphs.generator import generate_dag
 from repro.metrics.report import format_table
 from repro.obs.compare import compare_runs, load_records
-from repro.obs.record import RunRecord, summarise_trace
+from repro.obs.record import summarise_trace
 from repro.obs.sink import JsonlSink
 from repro.obs.spans import SpanRecorder
 from repro.obs.tracing import TraceCollector, validate_chrome_trace, write_chrome_trace
 from repro.storage.engine import ENGINE_NAMES
 
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.experiments.parallel import GraphSpec
+    from repro.experiments.queries import QuerySpec
 
-def _build_graph(args: argparse.Namespace) -> Digraph:
+
+def _workload_specs(args: argparse.Namespace) -> tuple[GraphSpec, QuerySpec]:
+    """The one recipe for the workload flags: the graph and the query
+    shape every command derives its graph and sources from."""
+    from repro.experiments.parallel import GraphSpec
+    from repro.experiments.queries import QuerySpec
+
     if args.family:
-        return build_graph(args.family, seed=args.seed, scale=args.scale)
-    return generate_dag(args.nodes, args.out_degree, args.locality, seed=args.seed)
-
-
-def _build_query(graph: Digraph, args: argparse.Namespace) -> Query:
-    if args.sources is None:
-        return Query.full()
-    return Query.ptc(sample_sources(graph, args.sources, seed=args.seed))
+        graph = GraphSpec(seed=args.seed, family=args.family, scale=args.scale)
+    else:
+        graph = GraphSpec.custom(args.nodes, args.out_degree, args.locality, args.seed)
+    query = QuerySpec.full() if args.sources is None else QuerySpec.selection(args.sources)
+    return graph, query
 
 
 def _workload_dict(args: argparse.Namespace) -> dict[str, object]:
@@ -169,8 +173,8 @@ def _run_parser() -> argparse.ArgumentParser:
                            "deterministic; this multiplies the timing "
                            "samples the compare gate's noise band uses)")
     execution.add_argument("--timeout", type=float, default=None, metavar="SECONDS",
-                           help="per-algorithm wall-clock limit when --jobs > 1 "
-                           "(one retry, then a structured error and exit 1)")
+                           help="per-run wall-clock limit (an algorithm that "
+                           "exceeds it fails with a structured error and exit 1)")
     robustness = parser.add_argument_group("robustness")
     robustness.add_argument("--chaos", metavar="SPEC", default=None,
                             help="arm the fault-injection plane, e.g. "
@@ -188,59 +192,88 @@ def _warn_dropped(name: str, dropped: int) -> None:
               f"events; --trace-out keeps only the tail", file=sys.stderr)
 
 
-def _run_parallel(args: argparse.Namespace, names: list[str],
-                  config: SystemConfig) -> int:
-    """Fan the algorithm list across worker processes (``--jobs N``).
+def _run_command(args: argparse.Namespace) -> int:
+    """Run the algorithm list as work units of one experiment engine.
 
-    Each algorithm becomes one work unit on the same (deterministically
-    seeded) graph and query, so the result table is identical to the
-    serial run's -- only wall-clock attribution differs.  With
-    ``--trace-out``, workers instrument their unit exactly like the
-    serial path and ship the trace events back; the parent merges the
-    per-algorithm sections in submission order, so the trace file is
-    event-for-event equal to a serial run's.
+    Each algorithm becomes one unit on the same (deterministically
+    seeded) graph and query: in this process at ``--jobs 1``, across
+    worker processes otherwise.  Records and trace sections are merged
+    in algorithm order, so the table, the ``--emit-json`` records and
+    the ``--trace-out`` events are the same at any ``--jobs`` -- only
+    the measured times differ.  A failed algorithm prints one
+    ``error:`` line, the others still print their rows, and the command
+    exits 1.
     """
-    from repro.experiments.parallel import ExperimentEngine, GraphSpec, WorkUnit
-    from repro.experiments.queries import QuerySpec
+    from repro.experiments.parallel import ExperimentEngine, Instrument, WorkUnit
 
-    if args.family:
-        spec = GraphSpec(seed=args.seed, family=args.family, scale=args.scale)
-    else:
-        spec = GraphSpec.custom(args.nodes, args.out_degree, args.locality, args.seed)
-    query_spec = (QuerySpec.full() if args.sources is None
-                  else QuerySpec.selection(args.sources))
-    workload = tuple(_workload_dict(args).items())
+    for flag, value in (("--jobs", args.jobs), ("--reps", args.reps)):
+        if value < 1:
+            print(f"error: {flag} must be >= 1", file=sys.stderr)
+            return 2
+    plan = None
+    # No retry: a single query must fail on its first injury.
+    with ExperimentEngine(jobs=args.jobs, timeout=args.timeout, retries=0,
+                          reps=args.reps) as engine:
+        try:
+            if args.chaos:
+                plan = FaultPlan.parse(args.chaos)
+                set_fault_plan(plan)
+                # Worker processes (--jobs > 1) arm their own copy from the
+                # environment in the pool initialiser.
+                os.environ[ENV_CHAOS] = args.chaos
+            if args.audit:
+                set_audit_mode(args.audit)
+                os.environ[ENV_AUDIT] = args.audit
+            graph_spec, query_spec = _workload_specs(args)
+            graph = engine.graph(graph_spec)
+            query = query_spec.materialise(graph, seed=args.seed)
+            config = _system_config(args)
+        except Exception as exc:
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 1
 
-    def _units(collect_trace: bool) -> list["WorkUnit"]:
-        return [
-            WorkUnit(cell_index=index, algorithm=name, graph=spec, query=query_spec,
-                     system=config, source_seed=args.seed, workload=workload,
-                     collect_trace=collect_trace)
+        if args.algorithm == "all":
+            names = [n for n in ALGORITHM_NAMES if not (n == "srch" and query.is_full)]
+            names += list(BASELINE_NAMES)
+        else:
+            names = [args.algorithm]
+
+        if not args.quiet:
+            print(f"graph: n={graph.num_nodes} arcs={graph.num_arcs}  query: {query}  "
+                  f"M={config.buffer_pages}"
+                  + (f"  jobs={args.jobs}" if args.jobs > 1 else ""))
+
+        if args.trace_out is not None:
+            instrument = Instrument.TRACE
+        elif args.emit_json is not None:
+            instrument = Instrument.SPANS
+        else:
+            instrument = Instrument.NONE
+        workload = tuple(_workload_dict(args).items())
+        outcomes = engine.map_units([
+            WorkUnit(cell_index=index, algorithm=name, graph=graph_spec,
+                     query=query_spec, system=config, source_seed=args.seed,
+                     workload=workload, instrument=instrument)
             for index, name in enumerate(names)
-        ]
+        ])
 
-    with ExperimentEngine(jobs=args.jobs, timeout=args.timeout) as engine:
-        # Only the first repetition carries the trace instrumentation:
-        # counters are deterministic across reps, so one event stream
-        # describes them all.
-        outcomes = engine.map_units(_units(args.trace_out is not None))
-        rep_outcomes = [engine.map_units(_units(False))
-                        for _ in range(args.reps - 1)]
-
+    # enabled=True: an explicit --emit-json beats the REPRO_OBS env toggle.
     sink = JsonlSink(args.emit_json, enabled=True) if args.emit_json is not None else None
     rows = []
     trace_sections = []
     for name, outcome in zip(names, outcomes):
         if outcome.error is not None:
-            print(f"error: {outcome.error.render()}", file=sys.stderr)
+            attempts = outcome.error.attempts
+            print(f"error: {outcome.error.message} [{name}, {attempts} "
+                  f"attempt{'' if attempts == 1 else 's'}]", file=sys.stderr)
             continue
         if sink is not None:
-            sink.emit(outcome.record)
+            for record in outcome.records:
+                sink.emit(record)
         if outcome.trace is not None:
             trace_sections.append((name, list(outcome.trace)))
-            # The worker folded its collector into the record's profile.
-            if outcome.record is not None and outcome.record.trace is not None:
-                _warn_dropped(name, outcome.record.trace.get("dropped", 0))
+            # The unit folded its collector into the first record's profile.
+            _warn_dropped(name, outcome.records[0].trace.get("dropped", 0))
         metrics = outcome.result.metrics
         rows.append(
             {
@@ -254,132 +287,15 @@ def _run_parallel(args: argparse.Namespace, names: list[str],
                 "cpu_s": round(metrics.cpu_seconds, 3),
             }
         )
+    if engine.failures and plan is not None:
+        print(plan.summary(), file=sys.stderr)
     if sink is not None:
-        for rep in rep_outcomes:
-            for outcome in rep:
-                if outcome.error is None:
-                    sink.emit(outcome.record)
         sink.close()
     if args.trace_out is not None and trace_sections:
         write_chrome_trace(args.trace_out, trace_sections)
     if rows:
         print(format_table(rows))
     return 1 if engine.failures else 0
-
-
-def _run_command(args: argparse.Namespace) -> int:
-    parallel = args.jobs > 1
-    if args.reps < 1:
-        print("error: --reps must be >= 1", file=sys.stderr)
-        return 2
-    plan = None
-    try:
-        if args.chaos:
-            plan = FaultPlan.parse(args.chaos)
-            set_fault_plan(plan)
-            # Worker processes (--jobs > 1) arm their own copy from the
-            # environment in the pool initialiser.
-            os.environ[ENV_CHAOS] = args.chaos
-        if args.audit:
-            set_audit_mode(args.audit)
-            os.environ[ENV_AUDIT] = args.audit
-        graph = _build_graph(args)
-        query = _build_query(graph, args)
-        config = _system_config(args)
-    except Exception as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-
-    if args.algorithm == "all":
-        names = [n for n in ALGORITHM_NAMES if not (n == "srch" and query.is_full)]
-        names += list(BASELINE_NAMES)
-    else:
-        names = [args.algorithm]
-
-    if not args.quiet:
-        print(f"graph: n={graph.num_nodes} arcs={graph.num_arcs}  query: {query}  "
-              f"M={config.buffer_pages}"
-              + (f"  jobs={args.jobs}" if parallel else ""))
-
-    if parallel:
-        return _run_parallel(args, names, config)
-
-    instrument = args.emit_json is not None or args.trace_out is not None
-    # enabled=True: an explicit --emit-json beats the REPRO_OBS env toggle.
-    sink = JsonlSink(args.emit_json, enabled=True) if args.emit_json is not None else None
-    workload = _workload_dict(args)
-    trace_sections: list[tuple[str, list]] = []
-
-    rows = []
-    try:
-        for name in names:
-            if name in BASELINE_NAMES:
-                algorithm = make_baseline(name)
-            else:
-                algorithm = make_algorithm(name)
-            # Baselines opt into the seam-level instrumentation (spans,
-            # trace events) with `accepts_instrumentation`.
-            instrumentable = isinstance(algorithm, TwoPhaseAlgorithm) or getattr(
-                algorithm, "accepts_instrumentation", False
-            )
-
-            for rep in range(args.reps):
-                recorder: SpanRecorder | None = None
-                collector: TraceCollector | None = None
-                if instrument and instrumentable:
-                    # Counters are deterministic across reps; one event
-                    # stream (the first rep's) describes them all.
-                    if args.trace_out is not None and rep == 0:
-                        collector = TraceCollector(label=name)
-                    recorder = SpanRecorder(collector=collector)
-
-                start = time.perf_counter()
-                if recorder is not None:
-                    result = algorithm.run(graph, query, config,
-                                           recorder=recorder, collector=collector)
-                else:
-                    result = algorithm.run(graph, query, config)
-                wall_seconds = time.perf_counter() - start
-
-                if sink is not None:
-                    record = RunRecord.from_result(
-                        result, workload=workload, recorder=recorder,
-                        collector=collector, wall_seconds=wall_seconds,
-                    )
-                    if plan is not None:
-                        record.faults = [e.as_dict() for e in plan.drain_events()]
-                    sink.emit(record)
-                if collector is not None:
-                    trace_sections.append((name, collector.events))
-                    _warn_dropped(name, collector.dropped)
-
-            metrics = result.metrics
-            rows.append(
-                {
-                    "algorithm": name,
-                    "total_io": metrics.total_io,
-                    "answer_tuples": result.num_tuples,
-                    "unions": metrics.list_unions,
-                    "tuples_generated": metrics.tuples_generated,
-                    "marking_%": round(100 * metrics.marking_percentage, 1),
-                    "hit_ratio": round(metrics.hit_ratio(), 3),
-                    "cpu_s": round(metrics.cpu_seconds, 3),
-                }
-            )
-    except Exception as exc:  # the gate: broken runs must not exit 0
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        if plan is not None:
-            print(plan.summary(), file=sys.stderr)
-        return 1
-    finally:
-        if sink is not None:
-            sink.close()
-
-    if args.trace_out is not None:
-        write_chrome_trace(args.trace_out, trace_sections)
-
-    print(format_table(rows))
-    return 0
 
 
 # -- `profile` ----------------------------------------------------------------
@@ -411,8 +327,9 @@ def _profile_command(args: argparse.Namespace) -> int:
     # ring's tail.
     collector = TraceCollector(capacity=sys.maxsize)
     try:
-        graph = _build_graph(args)
-        query = _build_query(graph, args)
+        graph_spec, query_spec = _workload_specs(args)
+        graph = graph_spec.build()
+        query = query_spec.materialise(graph, seed=args.seed)
         config = _system_config(args)
         result = make_algorithm(args.algorithm).run(
             graph, query, config, recorder=recorder, collector=collector
@@ -550,10 +467,9 @@ def _chains_command(args: argparse.Namespace) -> int:
     from repro.errors import InvalidNodeError
 
     try:
-        graph = _build_graph(args)
-        sources = None
-        if args.sources is not None:
-            sources = sample_sources(graph, args.sources, seed=args.seed)
+        graph_spec, query_spec = _workload_specs(args)
+        graph = graph_spec.build()
+        sources = query_spec.draw_sources(graph, seed=args.seed)
         config = _system_config(args)
     except Exception as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
@@ -684,10 +600,9 @@ def _serve_command(args: argparse.Namespace) -> int:
         if args.chaos:
             set_fault_plan(FaultPlan.parse(args.chaos))
             os.environ[ENV_CHAOS] = args.chaos
-        graph = _build_graph(args)
-        sources = None
-        if args.sources is not None:
-            sources = sample_sources(graph, args.sources, seed=args.seed)
+        graph_spec, query_spec = _workload_specs(args)
+        graph = graph_spec.build()
+        sources = query_spec.draw_sources(graph, seed=args.seed)
         config = _system_config(args)
         serve_config = ServeConfig(
             deadline_ms=args.deadline_ms,

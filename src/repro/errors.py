@@ -37,6 +37,17 @@ class IngestError(ReproError, ValueError):
     """
 
 
+class RecordFileError(ReproError, ValueError):
+    """A JSONL run-record file or a sweep journal has a malformed line.
+
+    Raised by :func:`repro.obs.compare.load_records` and
+    :class:`repro.chaos.checkpoint.SweepJournal` with ``file:line`` in
+    the message, for any line but the last (a damaged final line is
+    the crash-truncation signature and is discarded with a warning).
+    Also a :class:`ValueError`, like :class:`IngestError`.
+    """
+
+
 class BufferPoolError(ReproError):
     """Base class for buffer-manager failures."""
 

@@ -27,7 +27,6 @@ from repro.experiments.parallel import (
     use_engine,
 )
 from repro.experiments.queries import QuerySpec
-from repro.experiments.runner import average_runs, run_single
 
 __all__ = [
     "PROFILES",
@@ -37,9 +36,7 @@ __all__ = [
     "QuerySpec",
     "ScaleProfile",
     "WorkUnit",
-    "average_runs",
     "get_profile",
     "run_cells",
-    "run_single",
     "use_engine",
 ]

@@ -7,11 +7,10 @@ series as an aligned text table -- the same rows the paper plots.
 
 Every figure declares its grid as a flat list of
 :class:`~repro.experiments.parallel.Cell` descriptions and hands it to
-:func:`~repro.experiments.parallel.run_cells`, so the whole grid fans
-out across worker processes when a parallel engine is active (see
-``run_all --jobs``) and runs through the unchanged serial
-``average_runs`` path otherwise.  A cell that permanently failed in a
-worker contributes ``nan`` to its series, visibly marking the hole.
+:func:`~repro.experiments.parallel.run_cells`, so the whole grid runs
+as the active engine's work units -- in-process, or fanned out across
+worker processes under ``run_all --jobs N``.  A cell with a permanently
+failed unit contributes ``nan`` to its series, visibly marking the hole.
 """
 
 from __future__ import annotations

@@ -1,48 +1,50 @@
-"""Process-pool experiment engine with deterministic seeding.
+"""The experiment engine: every closure run is a deterministic work unit.
 
 The paper's evaluation is a grid of *cells* -- one (algorithm, graph
 family, query shape, system configuration) combination per data point
 -- and every cell is itself a small grid of *work units*: one run per
-(graph seed, source sample).  All of those units are independent, so
-this module fans them out across ``--jobs N`` worker processes while
-guaranteeing that the aggregated output is **bit-identical** to the
-serial execution:
+(graph seed, source sample), the paper's repetition protocol (Section
+5.2).  Every closure run of the harness -- a table or figure cell, a
+benchmark cell, each algorithm of ``repro run`` -- is a
+:class:`WorkUnit` executed by :func:`execute_unit`, in this process at
+``jobs=1`` and across ``jobs`` worker processes otherwise.  The two
+produce **bit-identical** aggregates:
 
 * **Seeding contract.**  Nothing in a unit depends on process-global
   random state.  The graph is fully determined by its
   :class:`GraphSpec` (family/custom parameters + seed, hashed through
-  the same ``crc32`` mix as the serial path), and the source sample is
-  fully determined by ``(selectivity, sample_index)`` (or an explicit
+  the families' ``crc32`` mix), and the source sample is fully
+  determined by ``(selectivity, sample_index)`` (or an explicit
   ``source_seed``).  A unit therefore produces the same simulator
   counters no matter which process -- or machine -- executes it.
-* **Canonical ordering.**  Workers return their
+* **Canonical ordering.**  Units hand their
   :class:`~repro.core.result.ClosureResult` and
-  :class:`~repro.obs.record.RunRecord` to the parent, which emits the
-  records to *its* sinks in the serial order (cell order, then graph
-  seed, then sample index) and averages the results with the very same
-  :meth:`AveragedMetrics.from_results` call the serial path uses.
-  Worker processes never emit to a sink themselves (a forked worker
-  inherits the parent's global sink; :func:`_worker_init` detaches it).
+  :class:`~repro.obs.record.RunRecord` list back to the engine, which
+  emits the records to *its* sinks in cell order, then graph seed,
+  then sample index, and averages one result per unit with
+  :meth:`AveragedMetrics.from_results`.  Worker processes never emit to
+  a sink themselves (a forked worker inherits the parent's global sink;
+  :func:`_worker_init` detaches it).
+* **Repetitions.**  ``ExperimentEngine(reps=N)`` runs each unit's
+  algorithm N times and yields one record per repetition; the
+  simulated counters are deterministic, so this only multiplies the
+  timing samples.  The aggregate still takes one result per unit.
 * **Storage engines.**  A unit's :class:`SystemConfig` carries the
   *resolved* engine name (``paged``/``fast``) by value, so pickled
   units run the driver's engine in every worker with no extra
   environment plumbing (unlike chaos, which re-arms per process from
   ``REPRO_CHAOS`` in :func:`_worker_init`).
-* **Serial fallback.**  ``jobs=1`` -- the default everywhere -- does
-  not touch ``multiprocessing`` at all: cells are executed through the
-  exact pre-existing :func:`~repro.experiments.runner.average_runs`
-  code path.
 
-Robustness: every unit runs under an optional wall-clock ``timeout``
-(SIGALRM where available so pure-Python hangs are interrupted, a soft
-post-run deadline check elsewhere), is retried with a jittered
-exponential backoff, and -- if it still fails -- yields a structured
-:class:`UnitError` on ``engine.failures`` while the rest of the grid
-completes.  A failed cell renders as ``nan`` in tables/figures and the
-drivers exit non-zero.  When a :class:`~repro.chaos.faults.FaultPlan`
-is armed (``--chaos``/``REPRO_CHAOS``) each unit is also a crash
-opportunity, and any injected fault surfaces as a ``UnitError`` of
-kind ``"fault"``.
+Robustness, at every ``jobs``: each run of a unit is bounded by an
+optional wall-clock ``timeout`` (SIGALRM where available so pure-Python
+hangs are interrupted, a soft post-run deadline check elsewhere), a
+failed unit is retried with a jittered exponential backoff, and -- if
+it still fails -- yields a structured :class:`UnitError` on
+``engine.failures`` while the rest of the grid completes.  A failed
+cell renders as ``nan`` in tables/figures and the drivers exit
+non-zero.  When a :class:`~repro.chaos.faults.FaultPlan` is armed
+(``--chaos``/``REPRO_CHAOS``) each unit is also a crash opportunity,
+and any injected fault surfaces as a ``UnitError`` of kind ``"fault"``.
 
 Checkpoint/resume: attach a :class:`~repro.chaos.checkpoint.SweepJournal`
 and every completed cell is durably journaled under its deterministic
@@ -54,13 +56,14 @@ Because the cells of a sweep frequently repeat (Figures 8-12 share one
 cell grid and only plot different metrics), the engine also memoises
 finished cells by identity: a repeated cell replays its records and
 returns the identical :class:`AveragedMetrics` without recomputation.
-The serial path intentionally has no memo -- it is the reference
-execution.
+The memo and the in-process graph cache belong to the engine and are
+dropped when it closes.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import enum
 import math
 import signal
 import threading
@@ -69,22 +72,24 @@ import traceback
 from collections.abc import Callable, Iterator, Sequence
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 from repro.chaos.checkpoint import SweepJournal, cell_key
 from repro.chaos.faults import FaultKind, active_plan, arm_from_env
+from repro.core.base import TwoPhaseAlgorithm
 from repro.core.query import SystemConfig
 from repro.core.result import ClosureResult
 from repro.errors import InjectedCrashError, InjectedFaultError
 from repro.experiments.config import ScaleProfile
 from repro.experiments.queries import QuerySpec
-from repro.experiments.runner import AveragedMetrics, average_runs
+from repro.experiments.runner import AveragedMetrics
 from repro.graphs.datasets import PAPER_NUM_NODES, build_graph
 from repro.graphs.digraph import Digraph
 from repro.graphs.generator import generate_dag
 from repro.obs.record import RunRecord, system_config_dict
 from repro.obs.sink import RunSink, get_global_sink, reset_worker_sinks
+from repro.obs.spans import SpanRecorder
 from repro.obs.tracing import TraceCollector, TraceEventRecord
 from repro.serve.retry import DEFAULT_BACKOFF_BASE, BackoffPolicy
 
@@ -147,6 +152,18 @@ class Cell:
     system: SystemConfig
 
 
+class Instrument(enum.Enum):
+    """The telemetry a unit's runs carry."""
+
+    NONE = "none"
+    SPANS = "spans"
+    """Span timers on every repetition."""
+    TRACE = "trace"
+    """Span timers on every repetition, plus the page-event collector on
+    the first (the counters are deterministic across repetitions, so one
+    event stream describes them all)."""
+
+
 @dataclass(frozen=True)
 class WorkUnit:
     """One run: a cell crossed with one graph seed and source sample."""
@@ -160,10 +177,9 @@ class WorkUnit:
     sample_index: int = 0
     source_seed: int | None = None
     workload: tuple[tuple[str, Any], ...] = ()
-    collect_trace: bool = False
-    """Instrument the run (spans + event collector) exactly like the
-    serial ``--trace-out`` path, and ship the trace events back on
-    :attr:`UnitOutcome.trace`."""
+    instrument: Instrument = Instrument.NONE
+    """Algorithms that cannot be instrumented (the baselines without
+    ``accepts_instrumentation``) run bare whatever this says."""
 
     def describe(self) -> dict[str, Any]:
         """A JSON-safe identity for error records."""
@@ -195,24 +211,24 @@ class UnitError:
 
 @dataclass
 class UnitOutcome:
-    """What a worker hands back for one unit: a result or an error."""
+    """What a unit hands back: a result and its records, or an error."""
 
     cell_index: int
     graph_seed: int
     sample_index: int
     result: ClosureResult | None = None
-    record: RunRecord | None = None
+    """The last repetition's result (counters are equal across reps)."""
+    records: list[RunRecord] = field(default_factory=list)
+    """One record per repetition, in repetition order."""
     error: UnitError | None = None
     trace: tuple[TraceEventRecord, ...] | None = None
-    """The unit's trace events (``collect_trace`` units only); the
-    records are plain tuples, so they cross the process boundary intact."""
+    """The first repetition's trace events (:attr:`Instrument.TRACE`
+    units only); the records are plain tuples, so they cross the
+    process boundary intact."""
 
     @property
     def ok(self) -> bool:
         return self.error is None
-
-    def order_key(self) -> tuple[int, int]:
-        return (self.graph_seed, self.sample_index)
 
 
 def failed_metrics(algorithm: str) -> AveragedMetrics:
@@ -226,16 +242,17 @@ def failed_metrics(algorithm: str) -> AveragedMetrics:
 
 
 # ---------------------------------------------------------------------------
-# Worker side.
+# Unit execution (in a worker, or in-process at jobs=1).
 # ---------------------------------------------------------------------------
 
 _GRAPH_CACHE: dict[GraphSpec, Digraph] = {}
-"""Per-process graph cache: one generated DAG per spec, shared by every
-unit of every cell that names it (algorithms never mutate the input)."""
+"""Per-worker graph cache: one generated DAG per spec, shared by every
+unit of every cell that names it (algorithms never mutate the input).
+In-process units use their engine's own cache instead."""
 
 
 class UnitTimeout(Exception):
-    """Raised inside a worker when a unit exceeds its wall-clock budget."""
+    """Raised inside a unit when a run exceeds its wall-clock budget."""
 
 
 def _worker_init() -> None:
@@ -256,10 +273,10 @@ def _worker_init() -> None:
     arm_from_env()
 
 
-def _cached_graph(spec: GraphSpec) -> Digraph:
-    graph = _GRAPH_CACHE.get(spec)
+def _cached_graph(spec: GraphSpec, cache: dict[GraphSpec, Digraph]) -> Digraph:
+    graph = cache.get(spec)
     if graph is None:
-        graph = _GRAPH_CACHE[spec] = spec.build()
+        graph = cache[spec] = spec.build()
     return graph
 
 
@@ -268,16 +285,16 @@ _HAS_SIGALRM = hasattr(signal, "SIGALRM")
 
 @contextmanager
 def _unit_guard(timeout: float | None) -> Iterator[Callable[[], None]]:
-    """Bound a unit's wall clock, portably.
+    """Bound a run's wall clock, portably.
 
     Where SIGALRM exists and we are on the main thread of the process
-    (always true for pool workers and the serial path), pure-Python
-    hangs are interrupted mid-flight.  Elsewhere (Windows, exotic
-    embedding threads) the guard degrades to a *soft deadline*: the
-    yielded check callable raises :class:`UnitTimeout` after the fact,
-    so an over-budget unit is still reported -- it just is not
-    preempted.  Callers must invoke the check once the guarded work
-    returns.
+    (always true for pool workers and for in-process units driven from
+    the main thread), pure-Python hangs are interrupted mid-flight.
+    Elsewhere (Windows, exotic embedding threads) the guard degrades to
+    a *soft deadline*: the yielded check callable raises
+    :class:`UnitTimeout` after the fact, so an over-budget run is still
+    reported -- it just is not preempted.  Callers must invoke the check
+    once the guarded work returns.
     """
     if not timeout or timeout <= 0:
         yield lambda: None
@@ -316,12 +333,16 @@ def _make_runner(name: str):
     return make_algorithm(name)
 
 
-def execute_unit(unit: WorkUnit, timeout: float | None, attempt: int = 1,
-                 delay: float = 0.0) -> UnitOutcome:
-    """Run one unit to completion; never raises (errors are data).
+def execute_unit(unit: WorkUnit, timeout: float | None, reps: int = 1,
+                 attempt: int = 1, delay: float = 0.0,
+                 graphs: dict[GraphSpec, Digraph] | None = None) -> UnitOutcome:
+    """Run one unit's algorithm ``reps`` times; never raises (errors are data).
 
+    Each repetition yields one record and is bounded by ``timeout``.
     ``delay`` is the retry backoff, slept *here* (in the worker for a
     pooled retry) so the parent's scheduling loop never blocks.
+    ``graphs`` is the graph cache to build into: the engine's for an
+    in-process unit, this worker's :data:`_GRAPH_CACHE` by default.
     """
     if delay > 0:
         time.sleep(delay)
@@ -329,6 +350,8 @@ def execute_unit(unit: WorkUnit, timeout: float | None, attempt: int = 1,
     plan = active_plan()
     if plan is not None:
         plan.drain_events()  # events of a previous unit are not ours
+    records: list[RunRecord] = []
+    trace = None
     try:
         if plan is not None:
             event = plan.fire(FaultKind.CRASH_UNIT)
@@ -337,33 +360,43 @@ def execute_unit(unit: WorkUnit, timeout: float | None, attempt: int = 1,
                     f"injected crash at the start of unit "
                     f"(chaos opportunity {event.opportunity})"
                 )
-        graph = _cached_graph(unit.graph)
+        graph = _cached_graph(unit.graph, _GRAPH_CACHE if graphs is None else graphs)
         query = unit.query.materialise(graph, unit.sample_index, seed=unit.source_seed)
         algorithm = _make_runner(unit.algorithm)
-        recorder = collector = None
-        if unit.collect_trace:
-            # Mirror the serial --trace-out instrumentation exactly, so
-            # a --jobs N trace merges to the same event stream.
-            from repro.core.base import TwoPhaseAlgorithm
-            from repro.obs.spans import SpanRecorder
-
-            instrumentable = isinstance(algorithm, TwoPhaseAlgorithm) or getattr(
-                algorithm, "accepts_instrumentation", False
-            )
-            if instrumentable:
-                collector = TraceCollector(label=unit.algorithm)
+        # Baselines opt into the seam-level instrumentation (spans,
+        # trace events) with `accepts_instrumentation`.
+        instrumented = unit.instrument is not Instrument.NONE and (
+            isinstance(algorithm, TwoPhaseAlgorithm)
+            or getattr(algorithm, "accepts_instrumentation", False)
+        )
+        workload = dict(unit.workload) or {"nodes": graph.num_nodes, "arcs": graph.num_arcs}
+        for rep in range(reps):
+            recorder = collector = None
+            if instrumented:
+                if unit.instrument is Instrument.TRACE and rep == 0:
+                    collector = TraceCollector(label=unit.algorithm)
                 recorder = SpanRecorder(collector=collector)
-        with _unit_guard(timeout) as check_deadline:
-            start = time.perf_counter()
+            with _unit_guard(timeout) as check_deadline:
+                start = time.perf_counter()
+                if recorder is not None:
+                    result = algorithm.run(graph, query, unit.system,
+                                           recorder=recorder, collector=collector)
+                else:
+                    result = algorithm.run(graph, query, unit.system)
+                wall_seconds = time.perf_counter() - start
+                check_deadline()
+            record = RunRecord.from_result(result, workload=workload, recorder=recorder,
+                                           collector=collector, wall_seconds=wall_seconds)
+            if plan is not None:
+                # Non-fatal faults (slow-io, evict-storm) that fired during
+                # the run travel with its record, so chaos runs are auditable.
+                record.faults = [event.as_dict() for event in plan.drain_events()]
+            records.append(record)
             if collector is not None:
-                result = algorithm.run(graph, query, unit.system,
-                                       recorder=recorder, collector=collector)
-            else:
-                result = algorithm.run(graph, query, unit.system)
-            wall_seconds = time.perf_counter() - start
-            check_deadline()
+                trace = tuple(collector.events)
     except UnitTimeout as exc:
-        outcome.error = UnitError("timeout", str(exc), attempt, unit.describe())
+        message = f"{type(exc).__name__}: {exc}"
+        outcome.error = UnitError("timeout", message, attempt, unit.describe())
         return outcome
     except InjectedFaultError as exc:
         message = f"{type(exc).__name__}: {exc}"
@@ -374,16 +407,7 @@ def execute_unit(unit: WorkUnit, timeout: float | None, attempt: int = 1,
         described = {**unit.describe(), "traceback": traceback.format_exc(limit=5)}
         outcome.error = UnitError("exception", message, attempt, described)
         return outcome
-    workload = dict(unit.workload) or {"nodes": graph.num_nodes, "arcs": graph.num_arcs}
-    outcome.result = result
-    outcome.record = RunRecord.from_result(result, workload=workload, recorder=recorder,
-                                           collector=collector, wall_seconds=wall_seconds)
-    if collector is not None:
-        outcome.trace = tuple(collector.events)
-    if plan is not None:
-        # Non-fatal faults (slow-io, evict-storm) that fired during the
-        # run travel with the record, so chaos runs are auditable.
-        outcome.record.faults = [event.as_dict() for event in plan.drain_events()]
+    outcome.result, outcome.records, outcome.trace = result, records, trace
     return outcome
 
 
@@ -393,26 +417,32 @@ def execute_unit(unit: WorkUnit, timeout: float | None, attempt: int = 1,
 
 
 class ExperimentEngine:
-    """Runs experiment cells, serially or across a process pool.
+    """Runs work units and experiment cells, in-process or across a pool.
 
-    One engine owns one worker pool for its whole lifetime, so the
-    per-worker graph caches persist across every table and figure of a
-    ``run_all`` sweep.  Close (or use as a context manager) to release
-    the workers.
+    ``jobs=1`` executes every unit in this process; ``jobs=N`` owns one
+    worker pool for the engine's whole lifetime, so the per-worker graph
+    caches persist across every table and figure of a ``run_all``
+    sweep.  ``reps`` is how many times each unit's algorithm runs.
+    Close (or use as a context manager) to release the workers, the
+    cell memo and the in-process graph cache.
     """
 
     def __init__(self, jobs: int = 1, timeout: float | None = None,
                  retries: int = DEFAULT_RETRIES, backoff: float = DEFAULT_BACKOFF,
-                 checkpoint: SweepJournal | None = None) -> None:
+                 checkpoint: SweepJournal | None = None, reps: int = 1) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
+        if reps < 1:
+            raise ValueError(f"reps must be >= 1, got {reps}")
         self.jobs = jobs
         self.timeout = timeout
         self.retries = retries
         self.backoff = backoff
         self.checkpoint = checkpoint
+        self.reps = reps
         self.failures: list[UnitError] = []
         self._pool: ProcessPoolExecutor | None = None
+        self._graphs: dict[GraphSpec, Digraph] = {}
         self._cell_memo: dict[str, tuple[AveragedMetrics, list[RunRecord]]] = {}
         # Fixed-seed jitter: retry delays are deterministic for a given
         # submission order, like everything else about the engine.  The
@@ -437,6 +467,8 @@ class ExperimentEngine:
         return self._pool
 
     def close(self) -> None:
+        self._graphs.clear()
+        self._cell_memo.clear()
         if self._pool is not None:
             self._pool.shutdown(wait=False, cancel_futures=True)
             self._pool = None
@@ -448,45 +480,52 @@ class ExperimentEngine:
         self.close()
         return False
 
-    # -- unit-level API (the CLI's fan-out) ----------------------------------
+    # -- unit-level API (the CLI's runs) -------------------------------------
+
+    def graph(self, spec: GraphSpec) -> Digraph:
+        """``spec``'s graph, from the cache this engine's in-process units
+        read (so a caller that needs the graph too builds it only once)."""
+        return _cached_graph(spec, self._graphs)
 
     def map_units(self, units: Sequence[WorkUnit]) -> list[UnitOutcome]:
-        """Execute units (in parallel when ``jobs > 1``) and return their
-        outcomes in submission order.  Failed units are retried
-        ``retries`` times; permanent failures are returned as outcomes
-        with ``.error`` set *and* appended to :attr:`failures`.
+        """Execute units and return their outcomes in submission order.
+
+        Units run in this process when ``jobs == 1`` and in the pool
+        otherwise.  Failed units are retried ``retries`` times;
+        permanent failures are returned as outcomes with ``.error`` set
+        *and* appended to :attr:`failures`.
         """
         if not units:
             return []
-        if not self.parallel:
-            outcomes = [self._run_with_retry_serial(unit) for unit in units]
-        else:
+        if self.parallel:
             outcomes = self._map_units_pool(units)
+        else:
+            outcomes = [self._run_in_process(unit) for unit in units]
         for outcome in outcomes:
             if outcome.error is not None:
                 self.failures.append(outcome.error)
         return outcomes
 
-    def _run_with_retry_serial(self, unit: WorkUnit) -> UnitOutcome:
-        outcome = execute_unit(unit, self.timeout)
+    def _run_in_process(self, unit: WorkUnit) -> UnitOutcome:
+        outcome = execute_unit(unit, self.timeout, self.reps, graphs=self._graphs)
         attempt = 1
         while outcome.error is not None and attempt <= self.retries:
             attempt += 1
-            outcome = execute_unit(unit, self.timeout, attempt=attempt,
-                                   delay=self._retry_delay(attempt))
+            outcome = execute_unit(unit, self.timeout, self.reps, attempt,
+                                   self._retry_delay(attempt), graphs=self._graphs)
         return outcome
 
     def _map_units_pool(self, units: Sequence[WorkUnit]) -> list[UnitOutcome]:
         pool = self._ensure_pool()
         outcomes: dict[int, UnitOutcome] = {}
-        pending = {pool.submit(execute_unit, unit, self.timeout): (index, unit, 1)
+        pending = {pool.submit(execute_unit, unit, self.timeout, self.reps): (index, unit, 1)
                    for index, unit in enumerate(units)}
         # The in-worker SIGALRM is the real timeout; the parent-side
         # wait() deadline is a backstop for a worker wedged outside
         # Python bytecode (it cannot reclaim the worker, only report).
         backstop = None
         if self.timeout:
-            backstop = (self.timeout * (self.retries + 1) + 30.0) * len(units)
+            backstop = (self.timeout * self.reps * (self.retries + 1) + 30.0) * len(units)
         deadline = time.monotonic() + backstop if backstop else None
         while pending:
             remaining = None if deadline is None else max(0.0, deadline - time.monotonic())
@@ -510,7 +549,7 @@ class ExperimentEngine:
                                         attempt, unit.describe()),
                     )
                 if outcome.error is not None and attempt <= self.retries:
-                    retry = pool.submit(execute_unit, unit, self.timeout,
+                    retry = pool.submit(execute_unit, unit, self.timeout, self.reps,
                                         attempt + 1, self._retry_delay(attempt + 1))
                     pending[retry] = (index, unit, attempt + 1)
                     continue
@@ -527,86 +566,46 @@ class ExperimentEngine:
     ) -> list[AveragedMetrics]:
         """Execute one cell grid and return one average per cell, in order.
 
-        ``jobs == 1`` delegates each cell to the unchanged serial
-        :func:`~repro.experiments.runner.average_runs`.  Otherwise all
-        units of all (unmemoised) cells are fanned out at once and the
-        aggregation replays the serial order exactly.  A cell with a
-        permanently failed unit yields :func:`failed_metrics` (its
-        errors are on :attr:`failures`).
-
-        With a :attr:`checkpoint` journal attached, cells already in
-        the journal replay instead of re-running, and every freshly
-        completed cell is durably appended; failed cells are never
-        journaled, so a resume retries them.
+        Cells already in the memo or the :attr:`checkpoint` journal
+        replay; the units of all other cells (each distinct cell once)
+        go through :meth:`map_units` together.  Every cell's records are
+        then emitted in cell order.  A cell with a permanently failed
+        unit yields :func:`failed_metrics` (its errors are on
+        :attr:`failures`) and is neither memoised nor journaled, so a
+        resume retries it; every other fresh cell is memoised and
+        durably appended to the journal.
         """
-        if not self.parallel:
-            if self.checkpoint is None:
-                return [
-                    average_runs(cell.algorithm, cell.family, cell.query, profile,
-                                 cell.system, sink=sink)
-                    for cell in cells
-                ]
-            return [self._run_cell_serial_journaled(cell, profile, sink)
-                    for cell in cells]
-        results: list[AveragedMetrics | None] = [None] * len(cells)
+        keys = [self._cell_key(cell, profile) for cell in cells]
+        fresh: dict[str, int] = {}
         units: list[WorkUnit] = []
-        fresh: dict[int, Cell] = {}
-        for cell_index, cell in enumerate(cells):
-            memo = self._lookup_cell(self._cell_key(cell, profile))
-            if memo is not None:
-                metrics, records = memo
-                self._emit(records, sink)
-                results[cell_index] = metrics
-                continue
-            fresh[cell_index] = cell
-            units.extend(self._cell_units(cell_index, cell, profile))
+        for cell_index, (cell, key) in enumerate(zip(cells, keys)):
+            if key not in fresh and self._lookup_cell(key) is None:
+                fresh[key] = cell_index
+                units.extend(self._cell_units(cell_index, cell, profile))
 
-        by_cell: dict[int, list[UnitOutcome]] = {index: [] for index in fresh}
+        # map_units keeps submission order, which is canonical order.
+        by_cell: dict[int, list[UnitOutcome]] = {index: [] for index in fresh.values()}
         for outcome in self.map_units(units):
             by_cell[outcome.cell_index].append(outcome)
+        for key, cell_index in fresh.items():
+            outcomes = by_cell[cell_index]
+            if all(outcome.ok for outcome in outcomes):
+                metrics = AveragedMetrics.from_results(
+                    cells[cell_index].algorithm, [outcome.result for outcome in outcomes]
+                )
+                records = [record for outcome in outcomes for record in outcome.records]
+                self._store_cell(key, metrics, records)
 
-        for cell_index, cell in fresh.items():
-            outcomes = sorted(by_cell[cell_index], key=UnitOutcome.order_key)
-            if any(not outcome.ok for outcome in outcomes):
-                results[cell_index] = failed_metrics(cell.algorithm)
+        results: list[AveragedMetrics] = []
+        for cell, key in zip(cells, keys):
+            memo = self._cell_memo.get(key)
+            if memo is None:
+                results.append(failed_metrics(cell.algorithm))
                 continue
-            records = [outcome.record for outcome in outcomes]
+            metrics, records = memo
             self._emit(records, sink)
-            metrics = AveragedMetrics.from_results(
-                cell.algorithm, [outcome.result for outcome in outcomes]
-            )
-            self._store_cell(self._cell_key(cell, profile), metrics, records)
-            results[cell_index] = metrics
-        return results  # type: ignore[return-value]
-
-    def _run_cell_serial_journaled(
-        self, cell: Cell, profile: ScaleProfile, sink: RunSink | None
-    ) -> AveragedMetrics:
-        """One serial cell with checkpoint replay/append.
-
-        A journaled cell replays its records through :meth:`_emit`
-        (sink plus global sink -- the same two destinations
-        ``run_single`` writes), so a resumed sweep's output is
-        byte-identical to an uninterrupted one.  Fresh cells run
-        through the unchanged serial path with a tee sink capturing
-        the records for the journal.
-        """
-        key = self._cell_key(cell, profile)
-        cached = self.checkpoint.get(key) if self.checkpoint is not None else None
-        if cached is not None:
-            metrics, records = cached
-            self._emit(records, sink)
-            return metrics
-        # run_single also emits to the process-wide sink; when that is
-        # the very sink we were given, forwarding from the tee would
-        # double-emit, so the tee only captures.
-        forward = sink if sink is not get_global_sink() else None
-        capture = _CaptureSink(forward)
-        metrics = average_runs(cell.algorithm, cell.family, cell.query, profile,
-                               cell.system, sink=capture)
-        if self.checkpoint is not None and metrics.runs > 0:
-            self.checkpoint.record(key, metrics, capture.records)
-        return metrics
+            results.append(metrics)
+        return results
 
     def _lookup_cell(
         self, key: str
@@ -626,7 +625,8 @@ class ExperimentEngine:
 
     def _cell_units(self, cell_index: int, cell: Cell,
                     profile: ScaleProfile) -> Iterator[WorkUnit]:
-        """The serial repetition protocol, as independent units."""
+        """The paper's repetition protocol, as independent units: one run
+        per (graph seed, source sample), at the profile's counts."""
         workload = (
             ("family", cell.family),
             ("profile", profile.name),
@@ -659,7 +659,8 @@ class ExperimentEngine:
 
     @staticmethod
     def _emit(records: Sequence[RunRecord], sink: RunSink | None) -> None:
-        """Mirror ``run_single``'s double emission in the parent."""
+        """Emit to ``sink`` and to the process-wide sink (once if they
+        are the same sink)."""
         global_sink = get_global_sink()
         for record in records:
             if sink is not None:
@@ -668,35 +669,16 @@ class ExperimentEngine:
                 global_sink.emit(record)
 
 
-class _CaptureSink:
-    """Tee sink: forwards to the real sink while keeping the records.
-
-    Used by the journaled serial path, which needs the records of a
-    cell to persist them -- while the downstream sink still sees every
-    record exactly when and where it otherwise would.
-    """
-
-    def __init__(self, forward: RunSink | None) -> None:
-        self.forward = forward
-        self.records: list[RunRecord] = []
-
-    def emit(self, record: RunRecord) -> None:
-        self.records.append(record)
-        if self.forward is not None:
-            self.forward.emit(record)
-
-
 # ---------------------------------------------------------------------------
 # The process-wide active engine (what tables/figures route through).
 # ---------------------------------------------------------------------------
 
-_SERIAL = ExperimentEngine(jobs=1)
 _active: ExperimentEngine | None = None
 
 
 def get_engine() -> ExperimentEngine:
-    """The active engine; a serial (jobs=1) engine when none is set."""
-    return _active if _active is not None else _SERIAL
+    """The active engine; a fresh in-process engine when none is set."""
+    return _active if _active is not None else ExperimentEngine()
 
 
 def set_engine(engine: ExperimentEngine | None) -> ExperimentEngine | None:
@@ -722,5 +704,12 @@ def run_cells(
     profile: ScaleProfile,
     sink: RunSink | None = None,
 ) -> list[AveragedMetrics]:
-    """Run a cell grid through the active engine (serial by default)."""
-    return get_engine().run_cells(cells, profile, sink=sink)
+    """Run a cell grid through the active engine, or through a fresh
+    in-process engine that is closed afterwards (so no memoised cell or
+    generated graph outlives the call)."""
+    engine = get_engine()
+    try:
+        return engine.run_cells(cells, profile, sink=sink)
+    finally:
+        if engine is not _active:
+            engine.close()

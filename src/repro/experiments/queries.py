@@ -30,21 +30,27 @@ class QuerySpec:
         """A partial-closure query shape with ``s`` source nodes."""
         return cls(selectivity=s)
 
-    def materialise(
+    def draw_sources(
         self, graph: Digraph, sample_index: int = 0, seed: int | None = None
-    ) -> Query:
-        """Draw a concrete query for ``graph``.
+    ) -> tuple[int, ...] | None:
+        """Draw the source sample for ``graph`` (None for full closure).
 
-        The source sample is a pure function of ``(selectivity,
+        The sample is a pure function of ``(selectivity,
         sample_index)`` -- seed ``1000 + sample_index`` -- so any
-        process that materialises the same spec draws the same sources
-        (the parallel engine's seeding contract).  ``seed`` overrides
+        process that draws from the same spec draws the same sources
+        (the experiment engine's seeding contract).  ``seed`` overrides
         the derived seed for callers that manage seeds themselves (the
         CLI's ``--seed``).
         """
         if self.selectivity is None:
-            return Query.full()
+            return None
         if seed is None:
             seed = 1000 + sample_index
-        sources = sample_sources(graph, self.selectivity, seed=seed)
-        return Query.ptc(sources)
+        return sample_sources(graph, self.selectivity, seed=seed)
+
+    def materialise(
+        self, graph: Digraph, sample_index: int = 0, seed: int | None = None
+    ) -> Query:
+        """Draw a concrete query for ``graph`` (see :meth:`draw_sources`)."""
+        sources = self.draw_sources(graph, sample_index, seed)
+        return Query.full() if sources is None else Query.ptc(sources)

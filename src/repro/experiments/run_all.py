@@ -9,8 +9,8 @@ Usage::
 Output goes to stdout and (unless ``--no-file``) to
 ``experiments_output_<profile>.txt`` in the current directory.  The
 file contains only the table/figure text -- no timings -- so runs are
-byte-comparable regardless of ``--jobs`` (the parallel engine
-guarantees bit-identical averages; see
+byte-comparable regardless of ``--jobs`` (the experiment
+engine guarantees bit-identical averages; see
 :mod:`repro.experiments.parallel`).
 
 ``--jobs N`` fans the experiment grid across N worker processes;
@@ -83,7 +83,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--jobs", "-j", type=int, default=1, metavar="N",
-        help="worker processes for the experiment grid (default: 1 = serial)",
+        help="worker processes for the experiment grid (default: 1 = in-process)",
     )
     parser.add_argument(
         "--timeout", type=float, default=None, metavar="SECONDS",

@@ -20,7 +20,7 @@ durable.  See ``docs/OBSERVABILITY.md`` for the full guide.
 * :mod:`repro.obs.report` -- the self-contained HTML dashboard behind
   ``python -m repro obs report``;
 * :mod:`repro.obs.bench` -- per-cell benchmark summaries (min-of-N
-  timings, ``--reps`` knob).
+  timings over ``--reps`` samples).
 
 The storage layer imports :mod:`repro.obs.spans` and
 :mod:`repro.obs.tracing` (which depend on nothing), while
@@ -59,8 +59,6 @@ _LAZY = {
     "render_report": "repro.obs.report",
     "build_bench_summary": "repro.obs.bench",
     "write_bench_summary": "repro.obs.bench",
-    "set_bench_reps": "repro.obs.bench",
-    "bench_reps": "repro.obs.bench",
 }
 
 __all__ = [

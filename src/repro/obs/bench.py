@@ -1,15 +1,16 @@
 """Aggregation of per-run records into the benchmark perf trajectory.
 
 The benchmark suite installs a :class:`~repro.obs.sink.MemorySink` as
-the process-wide sink, so every :func:`~repro.experiments.runner
-.run_single` call made by the regenerated tables and figures emits one
+the process-wide sink, so every run the experiment engine makes for
+the regenerated tables and figures emits one
 :class:`~repro.obs.record.RunRecord`.  At session end those records are
 folded into one entry per *benchmark cell* (algorithm x workload x
 query shape) and written as ``BENCH_summary.json`` -- the durable
 perf-trajectory file later PRs diff against.
 
-Repetitions: the bench harness can run each cell ``N`` times
-(``--repro-reps`` in the benchmark suite, ``--reps`` on the CLI).  The
+Repetitions: the experiment engine can run each unit ``N`` times
+(``ExperimentEngine(reps=N)``: ``--repro-reps`` in the benchmark suite,
+``--reps`` on the CLI).  The
 simulated counters are deterministic, so the per-cell ``total_io`` is
 a mean purely for symmetry; the *measured* metrics use **min-of-N** --
 the minimum is the least-noisy estimator of a timing's true cost on a
@@ -77,25 +78,3 @@ def write_bench_summary(summary: Any, path: str | Path) -> None:
     line is a real change.
     """
     Path(path).write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-
-
-# -- repetitions knob --------------------------------------------------------
-
-_bench_reps = 1
-
-
-def set_bench_reps(reps: int) -> int:
-    """Set how many times :func:`~repro.experiments.runner.run_single`
-    repeats each run (returns the previous value so callers restore it).
-    """
-    global _bench_reps
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
-    previous = _bench_reps
-    _bench_reps = reps
-    return previous
-
-
-def bench_reps() -> int:
-    """The current per-run repetition count (1 = no repetition)."""
-    return _bench_reps

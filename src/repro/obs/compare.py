@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Union
 
+from repro.errors import RecordFileError
 from repro.metrics.report import format_table
 from repro.obs.record import RunRecord
 
@@ -41,10 +42,12 @@ RecordSource = Union[str, Path, list[RunRecord]]
 def load_records(source: RecordSource) -> list[RunRecord]:
     """Read run records from a JSONL file (or pass a list through).
 
-    A truncated *final* line -- the signature a crash mid-append leaves
-    behind (:class:`~repro.obs.sink.JsonlSink` fsyncs whole lines) --
-    is discarded with a warning.  Corruption anywhere else still
-    raises: that is not a crash artefact but a damaged file.
+    A malformed *final* line -- a truncated one is the signature a
+    crash mid-append leaves behind (:class:`~repro.obs.sink.JsonlSink`
+    fsyncs whole lines) -- is discarded with a warning.  A malformed
+    line anywhere else (bad JSON, or JSON that is not an object) raises
+    :class:`~repro.errors.RecordFileError`: that is not a crash artefact
+    but a damaged file.
     """
     if isinstance(source, list):
         return source
@@ -57,7 +60,10 @@ def load_records(source: RecordSource) -> list[RunRecord]:
         if not line:
             continue
         try:
-            records.append(RunRecord.from_json(line))
+            data = json.loads(line)
+            if not isinstance(data, dict):
+                raise TypeError(f"expected a JSON object, got {type(data).__name__}")
+            records.append(RunRecord.from_dict(data))
         except (json.JSONDecodeError, TypeError) as exc:
             if number == len(lines):
                 print(
@@ -66,7 +72,7 @@ def load_records(source: RecordSource) -> list[RunRecord]:
                     file=sys.stderr,
                 )
                 continue
-            raise ValueError(f"{path}:{number}: not a RunRecord line: {exc}") from exc
+            raise RecordFileError(f"{path}:{number}: not a RunRecord line: {exc}") from exc
     return records
 
 

@@ -1,8 +1,8 @@
 """Run-record sinks: where :class:`~repro.obs.record.RunRecord`\\ s go.
 
-The default everywhere is *no sink*: the runner and the algorithms take
-``sink=None`` and skip record construction entirely, so observability
-costs nothing unless asked for.  Three sinks are provided:
+The default everywhere is *no sink*: the experiment engine takes
+``sink=None`` and the algorithms build no record at all, so a run's
+records go nowhere unless asked for.  Three sinks are provided:
 
 * :class:`JsonlSink` -- appends one JSON line per record to a file;
 * :class:`MemorySink` -- collects records in a list (tests, the
@@ -17,8 +17,9 @@ touching code.  The constructor's ``enabled`` argument overrides the
 environment either way.
 
 A process-wide *global sink* can also be installed with
-:func:`set_global_sink`; :func:`repro.experiments.runner.run_single`
-emits to it in addition to any explicitly passed sink.  The benchmark
+:func:`set_global_sink`; the experiment engine's
+:meth:`~repro.experiments.parallel.ExperimentEngine.run_cells` emits to
+it in addition to any explicitly passed sink.  The benchmark
 suite uses this to collect one record per run without threading a sink
 through every table/figure function.
 """

@@ -1,5 +1,6 @@
 """Tests for the chaos plane: fault injection and invariant auditing."""
 
+import math
 import os
 
 import pytest
@@ -28,7 +29,9 @@ from repro.errors import (
     ReproError,
     TornWriteError,
 )
+from repro.experiments.config import get_profile
 from repro.experiments.parallel import (
+    Cell,
     ExperimentEngine,
     GraphSpec,
     WorkUnit,
@@ -258,13 +261,28 @@ class TestUnitBoundary:
         assert outcomes[0].ok
         assert not engine.failures
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_crash_unit_fails_the_cell_at_every_jobs(self, jobs, monkeypatch):
+        spec = "crash-unit,p=1"
+        monkeypatch.setenv("REPRO_CHAOS", spec)  # pool workers arm from it
+        cell = Cell("btc", "G2", QuerySpec.selection(3), SystemConfig(buffer_pages=10))
+        with use_fault_plan(FaultPlan.parse(spec)):
+            with ExperimentEngine(jobs=jobs, backoff=0.0) as engine:
+                (metrics,) = engine.run_cells([cell], get_profile("smoke"))
+                failures = list(engine.failures)
+        assert metrics.runs == 0 and math.isnan(metrics.total_io)
+        assert [failure.kind for failure in failures] == ["fault"]
+        assert "InjectedCrashError" in failures[0].message
+        assert failures[0].attempts == 2  # retried once, crashed again
+
     def test_fault_events_attached_to_record(self):
         with use_fault_plan(FaultPlan.parse("slow-io,p=1,ms=0")):
             outcome = execute_unit(self._unit(), timeout=None)
         assert outcome.ok
-        assert outcome.record.faults
-        assert outcome.record.faults[0]["kind"] == "slow-io"
-        assert "faults" in outcome.record.to_dict()
+        (record,) = outcome.records
+        assert record.faults
+        assert record.faults[0]["kind"] == "slow-io"
+        assert "faults" in record.to_dict()
 
     def test_clean_record_serialises_without_faults_key(self):
         record = RunRecord(algorithm="btc")

@@ -2,10 +2,12 @@
 
 import dataclasses
 import json
+import re
 
 import pytest
 
 from repro.chaos.checkpoint import SweepJournal, cell_key
+from repro.errors import RecordFileError
 from repro.experiments.run_all import main
 from repro.experiments.runner import AveragedMetrics
 from repro.obs.record import RunRecord
@@ -23,6 +25,25 @@ def _metrics(total_io=100.0):
 def _records():
     return [RunRecord(algorithm="btc", workload={"family": "G1"},
                       metrics={"total_io": 100})]
+
+
+# Well-formed JSON that is not a journaled cell.
+MALFORMED = {
+    "line-not-an-object": lambda cell: [cell],
+    "metrics-not-an-object": lambda cell: {**cell, "metrics": [1]},
+    "records-not-objects": lambda cell: {**cell, "records": [1]},
+    "records-not-a-list": lambda cell: {**cell, "records": 5},
+}
+
+
+def _journal_with_damaged_line(path, line_index, damage):
+    """A two-cell journal whose ``line_index``-th line is malformed."""
+    with SweepJournal(path) as journal:
+        journal.record("cell-a", _metrics(), _records())
+        journal.record("cell-b", _metrics(), _records())
+    lines = path.read_text().splitlines()
+    lines[line_index] = json.dumps(MALFORMED[damage](json.loads(lines[line_index])))
+    path.write_text("\n".join(lines) + "\n")
 
 
 class TestJournal:
@@ -68,6 +89,33 @@ class TestJournal:
         path.write_text("garbage\n" + good)
         with pytest.raises(ValueError, match="corrupt checkpoint line"):
             SweepJournal(path)
+
+    @pytest.mark.parametrize("damage", sorted(MALFORMED))
+    def test_malformed_middle_line_raises_named_error(self, tmp_path, damage):
+        path = tmp_path / "sweep.journal"
+        _journal_with_damaged_line(path, 0, damage)
+        with pytest.raises(RecordFileError,
+                           match=re.escape(f"{path}:1: corrupt checkpoint line")):
+            SweepJournal(path)
+
+    @pytest.mark.parametrize("damage", sorted(MALFORMED))
+    def test_malformed_final_line_is_discarded(self, tmp_path, capsys, damage):
+        path = tmp_path / "sweep.journal"
+        _journal_with_damaged_line(path, 1, damage)
+        survivor = SweepJournal(path)
+        assert f"warning: {path}:2: discarding" in capsys.readouterr().err
+        assert "cell-a" in survivor and "cell-b" not in survivor
+
+    def test_resume_from_a_malformed_journal_exits_two(self, tmp_path, monkeypatch,
+                                                       capsys):
+        monkeypatch.chdir(tmp_path)
+        _journal_with_damaged_line(tmp_path / "sweep.journal", 0, "metrics-not-an-object")
+        assert main(["--profile", "smoke", "--only", "figure8",
+                     "--resume", "sweep.journal", "--no-file"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "error: RecordFileError: sweep.journal:1: corrupt checkpoint line" in err
+        assert "Traceback" not in err
 
     def test_flush_every_batches_durability(self, tmp_path):
         path = tmp_path / "sweep.journal"

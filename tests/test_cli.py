@@ -8,6 +8,7 @@ import pytest
 
 from repro.cli import main
 from repro.core.chains import ChainIndex
+from repro.core.registry import ALGORITHM_NAMES
 from repro.graphs.ingest import write_snap
 from repro.obs.compare import load_records
 
@@ -79,23 +80,28 @@ class TestCli:
         assert table(base) == table(base + ["--jobs", "3"])
 
     def test_jobs_with_emit_json_writes_records(self, tmp_path, capsys):
-        path = tmp_path / "records.jsonl"
-        assert main(["--family", "G2", "--scale", "8", "--algorithm", "btc",
-                     "--sources", "3", "--jobs", "2", "--emit-json", str(path),
-                     "--quiet"]) == 0
-        capsys.readouterr()
-        records = load_records(path)
-        assert len(records) == 1
-        assert records[0].algorithm == "btc"
-        assert records[0].workload["family"] == "G2"
+        for jobs in ("1", "2"):  # in-process and across worker processes
+            path = tmp_path / f"records-{jobs}.jsonl"
+            assert main(["--family", "G2", "--scale", "8", "--algorithm", "btc",
+                         "--sources", "3", "--jobs", jobs, "--emit-json", str(path),
+                         "--quiet"]) == 0
+            capsys.readouterr()
+            records = load_records(path)
+            assert len(records) == 1
+            assert records[0].algorithm == "btc"
+            assert records[0].workload["family"] == "G2"
+            assert set(records[0].spans) == {
+                "run", "run/compute", "run/restructure", "run/restructure/pool.read",
+                "run/writeout", "run/writeout/pool.write",
+            }
 
     def test_algorithm_failure_exits_nonzero(self, capsys, monkeypatch):
-        import repro.cli as cli
+        import repro.experiments.parallel as engine
 
         def boom(name):
             raise RuntimeError("simulated failure")
 
-        monkeypatch.setattr(cli, "make_algorithm", boom)
+        monkeypatch.setattr(engine, "_make_runner", boom)
         assert main(["--nodes", "60"]) == 1
         assert "simulated failure" in capsys.readouterr().err
 
@@ -150,6 +156,19 @@ class TestEmitJson:
         assert len(records) == 3
         assert len({r.total_io for r in records}) == 1
 
+        # Across worker processes: three records per algorithm, in
+        # algorithm-major order, and every repetition carries spans.
+        path = tmp_path / "jobs.jsonl"
+        assert main(["--algorithm", "all", "--nodes", "80", "--quiet", "--reps", "3",
+                     "--jobs", "2", "--emit-json", str(path)]) == 0
+        records = load_records(str(path))
+        names = list(dict.fromkeys(r.algorithm for r in records))
+        assert len(names) >= 10
+        assert [r.algorithm for r in records] == [n for n in names for _ in range(3)]
+        for record in records:
+            if record.algorithm in ALGORITHM_NAMES:
+                assert record.spans["run"]["count"] == 1
+
 
 class TestProfileCommand:
     def test_profile_prints_buffer_profile(self, capsys):
@@ -197,6 +216,20 @@ class TestCompareCommand:
         assert main(["compare", str(tmp_path / "a.jsonl"),
                      str(tmp_path / "b.jsonl")]) == 2
         assert "error:" in capsys.readouterr().err
+
+    def test_non_object_line_exits_two(self, tmp_path, capsys):
+        good = self._emit(tmp_path, "good.jsonl").read_text()
+        middle = tmp_path / "middle.jsonl"
+        middle.write_text("[1,2]\n" + good)
+        assert main(["compare", str(middle), str(middle)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {middle}:1: not a RunRecord line" in err
+        assert "Traceback" not in err
+        # A final such line is the truncation case: discarded, with a warning.
+        final = tmp_path / "final.jsonl"
+        final.write_text(good + "[1,2]\n")
+        assert main(["compare", str(final), str(final)]) == 0
+        assert f"warning: {final}:2: discarding" in capsys.readouterr().err
 
 
 class TestChainsProbes:

@@ -18,8 +18,8 @@ from pathlib import Path
 
 from repro.core.query import SystemConfig
 from repro.experiments.config import get_profile
+from repro.experiments.parallel import Cell, GraphSpec, run_cells
 from repro.experiments.queries import QuerySpec
-from repro.experiments.runner import average_runs
 
 CELL = dict(algorithm="jkb2", family="G5")
 
@@ -28,20 +28,27 @@ CELL = dict(algorithm="jkb2", family="G5")
 
 
 def _run_cell():
-    return average_runs(
-        CELL["algorithm"], CELL["family"], QuerySpec.selection(3),
-        get_profile("smoke"), SystemConfig(buffer_pages=10),
+    (metrics,) = run_cells(
+        [Cell(CELL["algorithm"], CELL["family"], QuerySpec.selection(3),
+              SystemConfig(buffer_pages=10))],
+        get_profile("smoke"),
     )
+    return metrics
 
 
 class TestInProcessDeterminism:
     def test_same_cell_twice_is_bit_identical(self):
         assert _run_cell() == _run_cell()
 
-    def test_counters_stable_across_graph_rebuilds(self):
+    def test_counters_stable_across_graph_rebuilds(self, monkeypatch):
         """Rebuilding the graph from its seed cannot change counters."""
+        builds = []
+        build = GraphSpec.build
+        monkeypatch.setattr(GraphSpec, "build", lambda spec: builds.append(spec) or build(spec))
         first = dataclasses.asdict(_run_cell())
         second = dataclasses.asdict(_run_cell())
+        # Each call's engine builds the smoke profile's one graph afresh.
+        assert len(builds) == 2
         assert json.dumps(first, sort_keys=True) == json.dumps(second, sort_keys=True)
 
 
@@ -49,11 +56,12 @@ _SUBPROCESS_SCRIPT = """
 import dataclasses, json
 from repro.core.query import SystemConfig
 from repro.experiments.config import get_profile
+from repro.experiments.parallel import Cell, run_cells
 from repro.experiments.queries import QuerySpec
-from repro.experiments.runner import average_runs
 
-metrics = average_runs("{algorithm}", "{family}", QuerySpec.selection(3),
-                       get_profile("smoke"), SystemConfig(buffer_pages=10))
+(metrics,) = run_cells([Cell("{algorithm}", "{family}", QuerySpec.selection(3),
+                             SystemConfig(buffer_pages=10))],
+                       get_profile("smoke"))
 print(json.dumps(dataclasses.asdict(metrics), sort_keys=True))
 """
 

@@ -2,14 +2,21 @@
 
 import pytest
 
+from repro.core.query import SystemConfig
 from repro.errors import ConfigurationError
 from repro.experiments.config import PROFILES, get_profile
 from repro.experiments.figures import FigureData, figure6, figure8, figure14
+from repro.experiments.parallel import Cell, ExperimentEngine, GraphSpec, WorkUnit, run_cells
 from repro.experiments.queries import QuerySpec
-from repro.experiments.runner import average_runs, run_single
 from repro.experiments.tables import table2, table3, table4
 from repro.graphs.datasets import build_graph
 from repro.obs.sink import MemorySink, get_global_sink, set_global_sink
+
+
+def _btc_g2_cell(query, profile, sink=None):
+    """One BTC cell on G2 through the engine's repetition protocol."""
+    (averaged,) = run_cells([Cell("btc", "G2", query, SystemConfig())], profile, sink=sink)
+    return averaged
 
 
 class TestProfiles:
@@ -50,21 +57,24 @@ class TestQuerySpec:
 
 
 class TestRunner:
-    def test_run_single_returns_a_result(self):
-        graph = build_graph("G2", scale=8)
-        result = run_single("btc", graph, QuerySpec.selection(3))
+    def test_single_unit_returns_a_result(self):
+        unit = WorkUnit(cell_index=0, algorithm="btc", graph=GraphSpec(family="G2", scale=8),
+                        query=QuerySpec.selection(3), system=SystemConfig())
+        with ExperimentEngine() as engine:
+            (outcome,) = engine.map_units([unit])
+        result = outcome.result
         assert result.algorithm == "btc"
         assert result.metrics.total_io > 0
 
-    def test_average_runs_averages(self):
+    def test_run_cells_averages(self):
         smoke = get_profile("smoke")
-        averaged = average_runs("btc", "G2", QuerySpec.selection(3), smoke)
+        averaged = _btc_g2_cell(QuerySpec.selection(3), smoke)
         assert averaged.runs == smoke.graphs_per_family * smoke.source_samples
         assert averaged.total_io > 0
 
     def test_full_query_skips_source_sampling(self):
         smoke = get_profile("smoke")
-        averaged = average_runs("btc", "G2", QuerySpec.full(), smoke)
+        averaged = _btc_g2_cell(QuerySpec.full(), smoke)
         assert averaged.runs == smoke.graphs_per_family
 
 
@@ -74,7 +84,7 @@ class TestRunRecordEmission:
     def test_ptc_cell_emits_graphs_times_samples(self):
         default = get_profile("default")
         sink = MemorySink()
-        average_runs("btc", "G2", QuerySpec.selection(3), default, sink=sink)
+        _btc_g2_cell(QuerySpec.selection(3), default, sink=sink)
         assert len(sink.records) == default.graphs_per_family * default.source_samples
         assert {r.algorithm for r in sink.records} == {"btc"}
         # All repetitions of one cell share one workload/query identity.
@@ -83,7 +93,7 @@ class TestRunRecordEmission:
     def test_full_closure_cell_emits_one_per_graph(self):
         default = get_profile("default")
         sink = MemorySink()
-        average_runs("btc", "G2", QuerySpec.full(), default, sink=sink)
+        _btc_g2_cell(QuerySpec.full(), default, sink=sink)
         assert len(sink.records) == default.graphs_per_family * 1
 
     def test_global_sink_receives_runs_too(self):
@@ -91,7 +101,7 @@ class TestRunRecordEmission:
         sink = MemorySink()
         previous = set_global_sink(sink)
         try:
-            average_runs("btc", "G2", QuerySpec.selection(3), smoke)
+            _btc_g2_cell(QuerySpec.selection(3), smoke)
         finally:
             set_global_sink(previous)
         assert len(sink.records) == smoke.graphs_per_family * smoke.source_samples
@@ -99,13 +109,13 @@ class TestRunRecordEmission:
     def test_no_sink_means_no_records(self):
         smoke = get_profile("smoke")
         assert get_global_sink() is None
-        averaged = average_runs("btc", "G2", QuerySpec.selection(3), smoke)
+        averaged = _btc_g2_cell(QuerySpec.selection(3), smoke)
         assert averaged.runs == 1  # runs fine with zero telemetry attached
 
     def test_averaged_metrics_match_hand_computed_means(self):
         default = get_profile("default")
         sink = MemorySink()
-        averaged = average_runs("btc", "G2", QuerySpec.selection(3), default, sink=sink)
+        averaged = _btc_g2_cell(QuerySpec.selection(3), default, sink=sink)
         ios = [r.total_io for r in sink.records]
         assert averaged.total_io == pytest.approx(sum(ios) / len(ios))
         generated = [r.metrics["tuples_generated"] for r in sink.records]

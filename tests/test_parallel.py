@@ -1,11 +1,12 @@
-"""Tests for the parallel experiment engine.
+"""Tests for the experiment engine.
 
 The engine's contract: ``--jobs N`` produces bit-identical
 :class:`AveragedMetrics` and the same :class:`RunRecord` payloads as
-the serial path (wall-clock/CPU-time fields excepted -- those are
-measured, not simulated, and differ even between two serial runs), and
-a unit that raises or hangs yields a structured error while the rest of
-the grid completes.
+the in-process ``--jobs 1`` run (wall-clock/CPU-time fields excepted --
+those are measured, not simulated, and differ even between two runs),
+both equal a cell computed directly outside the engine, and at every
+``--jobs`` a unit that raises or hangs yields a structured error while
+the rest of the grid completes.
 """
 
 import json
@@ -15,6 +16,7 @@ import pytest
 
 from repro.core.btc import BtcAlgorithm
 from repro.core.query import SystemConfig
+from repro.core.registry import make_algorithm
 from repro.experiments.config import get_profile
 from repro.experiments.parallel import (
     Cell,
@@ -29,6 +31,7 @@ from repro.experiments.parallel import (
 )
 from repro.experiments.queries import QuerySpec
 from repro.experiments.run_all import main as run_all_main
+from repro.experiments.runner import AveragedMetrics
 from repro.obs.sink import MemorySink
 
 SMOKE = get_profile("smoke")
@@ -96,6 +99,8 @@ class TestParallelEqualsSerial:
     def test_default_engine_is_serial(self):
         engine = get_engine()
         assert engine.jobs == 1 and not engine.parallel
+        # A fresh engine each time: no cell memo carries over between calls.
+        assert get_engine() is not engine
 
     def test_use_engine_scopes_the_active_engine(self):
         with ExperimentEngine(jobs=2) as engine:
@@ -126,7 +131,56 @@ class TestGraphSpec:
         par._GRAPH_CACHE.clear()
 
 
+class TestIndependentReference:
+    """The engine against one PTC cell computed directly, outside it."""
+
+    PROFILE = get_profile("default")  # 2 graphs x 2 source samples
+
+    def _direct_cell(self):
+        """BTC on G2 over the paper's protocol, run by hand: one result per
+        (graph seed, source sample)."""
+        query = QuerySpec.selection(3)
+        results = []
+        for graph_seed in range(self.PROFILE.graphs_per_family):
+            graph = self.PROFILE.build("G2", seed=graph_seed)
+            for sample_index in range(self.PROFILE.source_samples):
+                results.append(make_algorithm("btc").run(
+                    graph, query.materialise(graph, sample_index), SystemConfig()))
+        return results
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_run_cells_equals_the_direct_cell(self, jobs, monkeypatch):
+        reference = self._direct_cell()
+        outcomes = []
+        map_units = ExperimentEngine.map_units
+
+        def spy(engine, units):
+            result = map_units(engine, units)
+            outcomes.extend(result)
+            return result
+
+        monkeypatch.setattr(ExperimentEngine, "map_units", spy)
+        sink = MemorySink()
+        with ExperimentEngine(jobs=jobs) as engine:
+            (metrics,) = engine.run_cells(
+                [Cell("btc", "G2", QuerySpec.selection(3), SystemConfig())],
+                self.PROFILE, sink=sink)
+        assert metrics == AveragedMetrics.from_results("btc", reference)
+        assert metrics.runs == 4
+        # Units in (graph seed, sample) order, drawing the same sources...
+        assert [(o.graph_seed, o.sample_index) for o in outcomes] == [
+            (0, 0), (0, 1), (1, 0), (1, 1)]
+        assert [o.result.query.sources for o in outcomes] == [
+            r.query.sources for r in reference]
+        # ...and their records emitted in that order.
+        assert [r.total_io for r in sink.records] == [
+            r.metrics.total_io for r in reference]
+
+
 class TestFaultInjection:
+    # Every fault test runs at both --jobs values: in-process and pooled.
+    JOBS = (1, 2)
+
     def test_raising_unit_yields_structured_error_and_partial_results(self, monkeypatch):
         def boom(self, *args, **kwargs):
             raise RuntimeError("injected failure")
@@ -135,18 +189,19 @@ class TestFaultInjection:
         # btc is broken; spn does not inherit from BtcAlgorithm.
         cells = [CELLS[0],
                  Cell("spn", "G2", QuerySpec.selection(3), SystemConfig(buffer_pages=10))]
-        with ExperimentEngine(jobs=2) as engine:
-            results = engine.run_cells(cells, SMOKE)
-            failures = list(engine.failures)
-        # The broken cell is marked, the healthy cell completed.
-        assert results[0].runs == 0 and math.isnan(results[0].total_io)
-        assert results[1].runs > 0 and results[1].total_io > 0
-        assert failures
-        error = failures[0]
-        assert error.kind == "exception"
-        assert "injected failure" in error.message
-        assert error.attempts == 2  # one retry happened
-        assert error.unit["algorithm"] == "btc"
+        for jobs in self.JOBS:
+            with ExperimentEngine(jobs=jobs) as engine:
+                results = engine.run_cells(cells, SMOKE)
+                failures = list(engine.failures)
+            # The broken cell is marked, the healthy cell completed.
+            assert results[0].runs == 0 and math.isnan(results[0].total_io)
+            assert results[1].runs > 0 and results[1].total_io > 0
+            assert failures
+            error = failures[0]
+            assert error.kind == "exception"
+            assert "injected failure" in error.message
+            assert error.attempts == 2  # one retry happened
+            assert error.unit["algorithm"] == "btc"
 
     def test_hanging_unit_times_out(self, monkeypatch):
         import time as time_module
@@ -155,11 +210,12 @@ class TestFaultInjection:
             time_module.sleep(60)
 
         monkeypatch.setattr(BtcAlgorithm, "run", hang)
-        with ExperimentEngine(jobs=2, timeout=0.5) as engine:
-            results = engine.run_cells([CELLS[0]], SMOKE)
-            failures = list(engine.failures)
-        assert math.isnan(results[0].total_io)
-        assert failures and failures[0].kind == "timeout"
+        for jobs in self.JOBS:
+            with ExperimentEngine(jobs=jobs, timeout=0.5) as engine:
+                results = engine.run_cells([CELLS[0]], SMOKE)
+                failures = list(engine.failures)
+            assert math.isnan(results[0].total_io)
+            assert failures and failures[0].kind == "timeout"
 
     def test_run_all_exits_nonzero_on_failed_cells(self, tmp_path, monkeypatch, capsys):
         def boom(self, *args, **kwargs):
@@ -167,17 +223,18 @@ class TestFaultInjection:
 
         monkeypatch.setattr(BtcAlgorithm, "run", boom)
         monkeypatch.chdir(tmp_path)
-        code = run_all_main(
-            ["--profile", "smoke", "--only", "figure11", "--jobs", "2", "--no-file"]
-        )
-        captured = capsys.readouterr()
-        assert code == 1
-        assert "failed" in captured.err
-        assert "injected failure" in captured.err
-        # Partial results still rendered, with the failed cells marked.
-        assert "Figure 11" in captured.out
-        assert "nan" in captured.out
-        assert "JKB2" in captured.out
+        for jobs in self.JOBS:
+            code = run_all_main(["--profile", "smoke", "--only", "figure11",
+                                 "--jobs", str(jobs), "--no-file"])
+            captured = capsys.readouterr()
+            assert code == 1
+            assert "failed" in captured.err
+            assert "injected failure" in captured.err
+            assert "Traceback" not in captured.err
+            # Partial results still rendered, with the failed cells marked.
+            assert "Figure 11" in captured.out
+            assert "nan" in captured.out
+            assert "JKB2" in captured.out
 
     def test_failed_metrics_sentinel_is_all_nan(self):
         sentinel = failed_metrics("btc")

@@ -20,7 +20,7 @@ from repro.core.query import Query, SystemConfig
 from repro.core.registry import make_algorithm
 from repro.errors import EngineCapabilityError
 from repro.graphs.datasets import build_graph
-from repro.obs.bench import build_bench_summary, set_bench_reps
+from repro.obs.bench import build_bench_summary
 from repro.obs.compare import MetricGate, compare_runs
 from repro.obs.heatmap import page_heatmap, residency_timeline
 from repro.obs.record import SUPPORTED_SCHEMA_VERSIONS, RunRecord, summarise_trace
@@ -322,19 +322,20 @@ class TestBatchedSink:
 
 
 class TestRepsAndNoiseGate:
-    def _records(self, reps):
+    def _records(self, reps, jobs=1):
+        """One full-closure BTC cell on G9/8, as the benchmark suite runs it:
+        the engine repeats each run, records reach the global sink."""
+        from repro.experiments.config import get_profile
+        from repro.experiments.parallel import Cell, ExperimentEngine
+        from repro.experiments.queries import QuerySpec
+
         sink = MemorySink()
         previous_sink = set_global_sink(sink)
-        previous_reps = set_bench_reps(reps)
         try:
-            from repro.experiments.queries import QuerySpec
-            from repro.experiments.runner import run_single
-
-            run_single("btc", build_graph("G9", seed=0, scale=8),
-                       QuerySpec.full(), SYSTEM,
-                       workload={"family": "G9", "scale": 8})
+            with ExperimentEngine(jobs=jobs, reps=reps) as engine:
+                engine.run_cells([Cell("btc", "G9", QuerySpec.full(), SYSTEM)],
+                                 get_profile("smoke"))
         finally:
-            set_bench_reps(previous_reps)
             set_global_sink(previous_sink)
         return sink.records
 
@@ -342,6 +343,12 @@ class TestRepsAndNoiseGate:
         records = self._records(3)
         assert len(records) == 3
         assert len({r.total_io for r in records}) == 1  # deterministic
+
+    def test_reps_hold_across_worker_processes(self):
+        records = self._records(3, jobs=2)
+        assert len(records) == 3
+        assert len({r.total_io for r in records}) == 1
+        assert len({r.wall_seconds for r in records}) > 1  # three real runs
 
     def test_bench_summary_keeps_all_samples_min_of_n(self):
         records = self._records(3)
