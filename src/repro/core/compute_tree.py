@@ -59,11 +59,22 @@ _TreeNode = list  # [int, list[_TreeNode]]
 
 @dataclass
 class _SpecialTree:
-    """A special-node predecessor tree for one magic-graph node."""
+    """A special-node predecessor tree for one magic-graph node.
+
+    A built tree is never mutated: only the tree under construction
+    grows, through fresh lists of its own.  So a later tree may hold a
+    built tree's nodes (a whole subtree, or a leaf) by reference.
+    """
 
     root: "_TreeNode | None" = None
     ids: set[int] = field(default_factory=set)
-    source_bits: int = 0
+    node_count: int = 0
+    """Number of tree nodes, counted by structure.
+
+    Can exceed ``len(ids)``: a source parent whose tree is rooted at
+    itself is wrapped once more (``p -> p``), and both entries are
+    walked, read and generated.
+    """
     internal_count: int = 0
     """Number of nodes with at least one child.
 
@@ -153,10 +164,12 @@ class ComputeTreeAlgorithm(TwoPhaseAlgorithm):
         sources = set(ctx.query.sources or ctx.topo_order)
         trees: dict[int, _SpecialTree] = {}
         self._trees = trees
+        self._sources = sources
         # The per-arc counters accumulate in locals and fold into
         # ``metrics`` once at the end -- the final totals (and every
         # storage call, in the same order) are identical.
-        arcs_considered = arcs_marked = locality = unions = branch_nodes = 0
+        arcs_considered = arcs_marked = locality = unions = 0
+        walked = duplicates = generated = 0
 
         for node in ctx.topo_order:
             tree = _SpecialTree()
@@ -190,7 +203,9 @@ class ComputeTreeAlgorithm(TwoPhaseAlgorithm):
                     # The tree a parent arc contributes: T(p), under p
                     # itself when p is a source.
                     parent_root = parent_tree.root
-                    if parent in sources:
+                    parent_ids = parent_tree.ids
+                    wrapped = parent in sources
+                    if wrapped:
                         children = [parent_root] if parent_root is not None else []
                         contribution = [parent, children]
                     elif parent_root is not None:
@@ -203,21 +218,43 @@ class ComputeTreeAlgorithm(TwoPhaseAlgorithm):
                     # any new node (the paper's arc (j, d) example): the
                     # parent's tree must still be brought into memory.
                     unions += 1
-                    if parent_tree.ids:
+                    if parent_ids:
                         store_read(parent)
-                    copied = merge(contribution, tree, sources, metrics)
-                    if copied is not None:
-                        merged_roots.append(copied)
+                    if not tree_ids.isdisjoint(parent_ids):
+                        copied, read, pruned, derived = merge(contribution, tree, sources)
+                        walked += read
+                        duplicates += pruned
+                        generated += derived
+                        if copied is not None:
+                            merged_roots.append(copied)
+                        continue
+                    # Nothing of the contribution is in this tree yet, and
+                    # a built tree has no non-source node with fewer than
+                    # two children, so the merge would prune and splice
+                    # nothing: its copy would equal the contribution.
+                    # Share it, and count the walk the copy would make.
+                    merged_roots.append(contribution)
+                    tree_ids |= parent_ids
+                    size = parent_tree.node_count
+                    internal = parent_tree.internal_count
+                    if wrapped:
+                        tree_ids.add(parent)
+                        size += 1
+                        if parent_root is not None:
+                            internal += 1
+                    walked += size
+                    generated += size
+                    tree.node_count += size
+                    tree.internal_count += internal
 
             if len(merged_roots) > 1:
                 # Unrelated source groups meet for the first time here:
                 # the node itself becomes a branch (special) node.
                 tree.root = [node, merged_roots]
+                tree.node_count += 1
                 tree.internal_count += 1
                 tree_ids.add(node)
-                if node in sources:
-                    tree.source_bits |= 1 << node
-                branch_nodes += 1
+                generated += 1
             elif merged_roots:
                 tree.root = merged_roots[0]
             trees[node] = tree
@@ -230,7 +267,9 @@ class ComputeTreeAlgorithm(TwoPhaseAlgorithm):
             unmarked_locality_total=locality,
             list_unions=unions,
             list_reads=unions,
-            tuples_generated=branch_nodes,
+            tuple_io=walked,
+            duplicates=duplicates,
+            tuples_generated=generated,
         )
 
     def _merge(
@@ -238,26 +277,22 @@ class ComputeTreeAlgorithm(TwoPhaseAlgorithm):
         contribution: _TreeNode,
         tree: _SpecialTree,
         sources: set[int],
-        metrics,
-    ) -> "_TreeNode | None":
+    ) -> "tuple[_TreeNode | None, int, int, int]":
         """Copy the contribution into ``tree``, pruning and splicing.
 
-        Returns the copied root (or its spliced replacement), or None
-        when everything was already present.  The copy is bottom-up:
-        only nodes that are still *special with respect to the new
-        tree* survive -- sources not yet present, and interior nodes
-        that still join two or more surviving groups.  Iterative
+        Returns the copied root (or its spliced replacement; None when
+        everything was already present) and the merge's counts: entries
+        read, duplicates pruned and nodes generated.  The copy is
+        bottom-up: only nodes that are still *special with respect to
+        the new tree* survive -- sources not yet present, and interior
+        nodes that still join two or more surviving groups.  Iterative
         post-order traversal: special trees can be ``2|S|`` deep.
 
-        This is the single hottest loop of JKB/JKB2 (every parent arc
-        walks a whole contribution tree), so the counters are kept in
-        locals and folded into ``metrics`` once at the end -- the final
-        totals are identical, phase-boundary readers never observe a
-        partial merge.
+        This is the hottest loop of JKB/JKB2, so the counters are kept
+        in locals and returned for the caller to fold once per run.
         """
         tree_ids = tree.ids
         tuple_io = duplicates = generated = internal = 0
-        source_bits = 0
         result: _TreeNode | None = None
         # The duplicate test runs *before* a node is pushed (or, for
         # leaves, visited inline), so a frame only ever holds a node
@@ -268,8 +303,7 @@ class ComputeTreeAlgorithm(TwoPhaseAlgorithm):
             # Present already, with every source that reaches it (see
             # module docstring): a duplicate encounter -- prune the
             # whole contribution without deriving anything.
-            metrics.fold(tuple_io=tuple_io, duplicates=duplicates + 1)
-            return None
+            return None, tuple_io, duplicates + 1, 0
         # Each frame: [node, next_child_index, surviving_children].
         # Leaves never get a frame of their own -- they are visited
         # inline while expanding their parent (the majority of tree
@@ -297,12 +331,12 @@ class ComputeTreeAlgorithm(TwoPhaseAlgorithm):
                     stack.append([child, 0, []])
                     break
                 # Inline leaf visit: no frame of its own.  A non-source
-                # leaf is never special: spliced out.
+                # leaf is never special: spliced out.  A surviving leaf
+                # is shared, not copied.
                 if child_id in sources:
                     tree_ids.add(child_id)
-                    source_bits |= 1 << child_id
                     generated += 1
-                    frame[2].append([child_id, []])
+                    frame[2].append(child)
             else:
                 # Every child is examined: the node's copy is decided.
                 stack.pop()
@@ -319,20 +353,15 @@ class ComputeTreeAlgorithm(TwoPhaseAlgorithm):
                     if surviving:
                         internal += 1
                     tree_ids.add(node_id)
-                    if is_source:
-                        source_bits |= 1 << node_id
                     generated += 1
                 if copy is not None:
                     if stack:
                         stack[-1][2].append(copy)
                     else:
                         result = copy
-        metrics.fold(
-            tuple_io=tuple_io, duplicates=duplicates, tuples_generated=generated
-        )
-        tree.source_bits |= source_bits
+        tree.node_count += generated
         tree.internal_count += internal
-        return result
+        return result, tuple_io, duplicates, generated
 
     # -- output -----------------------------------------------------------------
 
@@ -345,22 +374,23 @@ class ComputeTreeAlgorithm(TwoPhaseAlgorithm):
         """
         metrics = ctx.metrics
         trees = self._trees
+        sources = self._sources
         read_list = ctx.store.read_list
         answer: dict[int, int] = {}
         get = answer.get
         for node in ctx.topo_order:
-            tree = trees[node]
-            if tree.ids:
-                read_list(node)
+            ids = trees[node].ids
+            if not ids:
+                continue
+            read_list(node)
+            # The sources in T(x) are exactly the sources that reach x.
             # A node can appear in its own tree as a branch (special)
             # node; it does not reach itself in an acyclic graph.
+            reaching = ids & sources
+            reaching.discard(node)
             node_bit = 1 << node
-            bits = tree.source_bits & ~node_bit
-            while bits:
-                low = bits & -bits
-                source = low.bit_length() - 1
+            for source in reaching:
                 answer[source] = get(source, 0) | node_bit
-                bits ^= low
 
         output_store = ctx.engine.make_list_store(PageKind.OUTPUT)
         output_nodes = [s for s in ctx.query.sources or ctx.topo_order if s in ctx.in_scope]

@@ -38,44 +38,57 @@ class SearchAlgorithm(TwoPhaseAlgorithm):
                 "use Query.ptc(...) or pass every node as a source"
             )
         metrics = ctx.metrics
+        read_successors = ctx.engine.read_successors
+        append = ctx.store.append
         adjacency: dict[int, Sequence[int]] = {}
-        scope: set[int] = set()
-        list_unions = tuple_io = arcs_considered = duplicates = 0
+        # node -> (its child bitset, its out-degree), built on the first
+        # visit: rows are read-only, and a node is re-read once per
+        # source that reaches it.
+        rows: dict[int, tuple[int, int]] = {}
+        list_unions = tuple_io = duplicates = 0
 
         for source in ctx.query.sources or ():
             ctx.store.create_list(source, 0)
             ctx.lists[source] = 0
             ctx.acquired[source] = 0
+            # Visited is reached | source, so the children a visit has
+            # not reached before are exactly the unvisited ones.  The
+            # source stays masked so that a cycle cannot revisit it.
+            not_source = ~(1 << source)
             reached_bits = 0
             stack = [source]
-            visited = {source}
             while stack:
                 node = stack.pop()
-                children = ctx.engine.read_successors(node)
-                if node not in adjacency:
-                    # Rows are read-only here, so the engine's row (a
-                    # zero-copy CSR view on the fast engine) is stored
-                    # as-is instead of being copied per visit.
+                children = read_successors(node)
+                row = rows.get(node)
+                if row is None:
+                    # Stored as-is: a zero-copy CSR view on the fast engine.
                     adjacency[node] = children
-                scope.add(node)
-                if children:
-                    # Union of S_source with the *immediate* successor
-                    # list of the reached node.
-                    list_unions += 1
-                    tuple_io += len(children)
-                    arcs_considered += len(children)
                     bits = 0
                     for child in children:
                         bits |= 1 << child
-                    added = (bits & ~reached_bits).bit_count()
-                    duplicates += len(children) - added
-                    reached_bits |= bits
-                    if added:
-                        ctx.store.append(source, added)
-                for child in children:
-                    if child not in visited:
-                        visited.add(child)
-                        stack.append(child)
+                    row = rows[node] = (bits, len(children))
+                bits, degree = row
+                if not degree:
+                    continue
+                # Union of S_source with the *immediate* successor list
+                # of the reached node.
+                list_unions += 1
+                tuple_io += degree
+                fresh = bits & ~reached_bits
+                added = fresh.bit_count()
+                duplicates += degree - added
+                if added:
+                    reached_bits |= fresh
+                    append(source, added)
+                    # Low bit to high bit is the row's order, so nodes
+                    # are read in the order one push per unvisited child
+                    # would read them.
+                    fresh &= not_source
+                    while fresh:
+                        low = fresh & -fresh
+                        stack.append(low.bit_length() - 1)
+                        fresh ^= low
             ctx.lists[source] = reached_bits
 
         metrics.fold(
@@ -83,13 +96,13 @@ class SearchAlgorithm(TwoPhaseAlgorithm):
             list_reads=list_unions,
             tuple_io=tuple_io,
             tuples_generated=tuple_io,
-            arcs_considered=arcs_considered,
+            arcs_considered=tuple_io,
             duplicates=duplicates,
         )
         # Fill in the context's scope/profile state so reports and the
         # locality metric are comparable with the other algorithms.
         ctx.adjacency = adjacency
-        ctx.in_scope = scope
+        ctx.in_scope = set(adjacency)
         self.sort_and_profile(ctx)
         metrics.set_totals(
             unmarked_locality_total=sum(

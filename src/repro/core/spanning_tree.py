@@ -104,82 +104,64 @@ class SpanningTreeAlgorithm(TwoPhaseAlgorithm):
             # The first page of the child's tree is always accessed.
             visited_blocks.add(0)
 
-        appended_before = target_tree.entry_count
+        t_children = target_tree.children
+        t_index = target_tree.index
+        appended_before = entry_count = target_tree.entry_count
         # The child itself becomes a new root child of the target tree.
-        self._copy_node(ctx, target, target_tree, parent=None, node=child)
+        target_tree.roots.append(child)
+        t_index[child] = entry_count
+        entry_count += 1
 
-        # DFS over the child's tree, pruning subtrees rooted at nodes
-        # already present in the target.
-        stack: list[tuple[int, int]] = [
-            (root, child) for root in reversed(child_tree.roots)
-        ]
+        # Pre-order DFS over the child's tree, pruning subtrees rooted at
+        # nodes already present in the target.  A node occurs once in a
+        # tree, so the target's index is its membership set.  Each frame
+        # is (parent, its unvisited children, its children in the
+        # target): every parent is copied in this union, so its run of
+        # children in the target starts out empty.
         visited_tuples = 0
         duplicates = 0
-        lists = ctx.lists
         child_index = child_tree.index
         child_children = child_tree.children
         visit_block = visited_blocks.add
-        # _copy_node, inlined against local aliases of the target
-        # tree's structures (this loop copies every unpruned node).
-        target_bits = lists[target]
-        t_children = target_tree.children
-        t_index = target_tree.index
-        entry_count = target_tree.entry_count
+        stack = [(child, iter(child_tree.roots), [])]
         while stack:
-            node, parent = stack.pop()
-            if charged:
-                # The engine charges per block of the serialised source
-                # tree that holds a visited entry.
-                visit_block(child_index[node] // BLOCK_CAPACITY)
-            visited_tuples += 1
-            if (target_bits >> node) & 1:
-                # Present already -- together with its whole subtree;
-                # prune without descending.
-                duplicates += 1
-                continue
-            siblings = t_children.setdefault(parent, [])
-            if not siblings:
-                # The parent just became internal: it is stored once as
-                # a parent marker ahead of its child run.
+            parent, nodes, siblings = stack[-1]
+            for node in nodes:
+                if charged:
+                    # The engine charges per block of the serialised
+                    # source tree that holds a visited entry.
+                    visit_block(child_index[node] // BLOCK_CAPACITY)
+                visited_tuples += 1
+                if node in t_index:
+                    # Present already -- together with its whole subtree;
+                    # prune without descending.
+                    duplicates += 1
+                    continue
+                if not siblings:
+                    # The parent just became internal: it is stored once
+                    # as a parent marker ahead of its child run.
+                    t_children[parent] = siblings
+                    entry_count += 1
+                siblings.append(node)
+                t_index[node] = entry_count
                 entry_count += 1
-            siblings.append(node)
-            t_index[node] = entry_count
-            entry_count += 1
-            target_bits |= 1 << node
-            grandchildren = child_children.get(node)
-            if grandchildren:
-                for grandchild in reversed(grandchildren):
-                    stack.append((grandchild, node))
-        lists[target] = target_bits
+                grandchildren = child_children.get(node)
+                if grandchildren:
+                    stack.append((node, iter(grandchildren), []))
+                    break
+            else:
+                stack.pop()
         target_tree.entry_count = entry_count
+        # Every node enters a tree with its whole successor set, so the
+        # union adds exactly {child} | S(child).
+        lists = ctx.lists
+        lists[target] |= lists[child] | (1 << child)
 
         # One tree union charges like one list union: one list I/O,
         # ``visited_tuples`` entries read and generated.
         ctx.metrics.count_union(visited_tuples, duplicates)
 
         ctx.store.read_blocks(child, sorted(visited_blocks))
-        appended = target_tree.entry_count - appended_before
+        appended = entry_count - appended_before
         if appended:
             ctx.store.append(target, appended)
-
-    def _copy_node(
-        self,
-        ctx: ExecutionContext,
-        target: int,
-        tree: _Tree,
-        parent: int | None,
-        node: int,
-    ) -> None:
-        """Append one node to the target tree's structure and layout."""
-        if parent is None:
-            tree.roots.append(node)
-        else:
-            siblings = tree.children.setdefault(parent, [])
-            if not siblings:
-                # The parent just became internal: it is stored once as
-                # a parent marker ahead of its child run.
-                tree.entry_count += 1
-            siblings.append(node)
-        tree.index[node] = tree.entry_count
-        tree.entry_count += 1
-        ctx.lists[target] |= 1 << node

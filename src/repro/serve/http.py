@@ -18,11 +18,16 @@ Routes::
 Error contract -- every failure is a *structured* JSON answer, never a
 traceback and never a wrong value:
 
-* 400 -- malformed request (bad node id, bad JSON, unknown op; a bad
+* 400 -- malformed request (bad node id, bad JSON, unknown op; a
+  request line without a method and a target, a bad
   ``Content-Length`` or a line over the reader's 64 KiB limit, after
   which the connection is closed)
 * 404/405 -- unknown path / wrong method
 * 413 -- body over :data:`MAX_REQUEST_BYTES` (connection closed)
+* 431 -- more than :data:`MAX_HEADER_LINES` header lines (connection
+  closed)
+* 500 -- an unexpected error while answering (connection closed; the
+  traceback goes to stderr)
 * 503 + ``Retry-After`` -- load shed by bounded admission
 * 503 -- no index available yet (initial build still failing)
 * 504 -- per-request deadline expired (queue wait counts against it)
@@ -41,6 +46,7 @@ import asyncio
 import json
 import sys
 import time
+import traceback
 from collections.abc import Coroutine
 from typing import Any, TypeVar
 from urllib.parse import parse_qs, urlsplit
@@ -56,6 +62,10 @@ from repro.serve.service import (
 
 MAX_REQUEST_BYTES = 1 << 20
 """Reject request bodies larger than this (1 MiB): bounded memory."""
+
+MAX_HEADER_LINES = 100
+"""Reject requests with more header lines than this: bounded memory
+(each line is already bounded by the reader's 64 KiB limit)."""
 
 _QUERY_ROUTES = {("GET", "/reachable"), ("GET", "/successors"), ("POST", "/batch")}
 
@@ -159,6 +169,16 @@ class ServeServer:
                     # drop the connection, never emit a partial answer.
                     self.service.telemetry.bump("cancelled")
                     break
+                except Exception as exc:
+                    # A fault in the server itself: report it, answer a
+                    # structured 500 and hang up -- the server keeps
+                    # serving its other connections.
+                    self.service.telemetry.bump("errors")
+                    traceback.print_exc(file=sys.stderr)
+                    error = {"error": f"internal server error ({type(exc).__name__})"}
+                    self._write_response(writer, 500, error, {}, keep_alive=False)
+                    await writer.drain()
+                    break
                 self._write_response(writer, status, payload, extra, keep_alive)
                 await writer.drain()
                 if not keep_alive:
@@ -180,11 +200,12 @@ class ServeServer:
     ) -> tuple[str, str, dict[str, str], bytes] | None:
         """The next request; ``None`` to end the connection without a reply.
 
-        ``None`` means the client has gone or sent no usable request
-        line.  Raises :class:`_RejectedRequest` (400) for a line over
-        the reader's limit or a ``Content-Length`` that is not a
-        non-negative integer, and (413) for a body over
-        :data:`MAX_REQUEST_BYTES`.
+        ``None`` means the client has gone or sent a blank request
+        line.  Raises :class:`_RejectedRequest` (400) for a request line
+        without a method and a target, a line over the reader's limit or
+        a ``Content-Length`` that is not a non-negative integer, (431)
+        for more than :data:`MAX_HEADER_LINES` header lines, and (413)
+        for a body over :data:`MAX_REQUEST_BYTES`.
         """
         try:
             request_line = await reader.readline()
@@ -192,15 +213,19 @@ class ServeServer:
                 return None
             parts = request_line.decode("latin-1").split()
             if len(parts) < 2:
-                return None
+                raise _RejectedRequest(
+                    400, f"request line {' '.join(parts)[:80]!r} needs a method and a target"
+                )
             method, target = parts[0].upper(), parts[1]
             headers: dict[str, str] = {}
-            while True:
+            for _ in range(MAX_HEADER_LINES + 1):
                 line = await reader.readline()
                 if not line or line in (b"\r\n", b"\n"):
                     break
                 name, _, value = line.decode("latin-1").partition(":")
                 headers[name.strip().lower()] = value.strip().lower()
+            else:
+                raise _RejectedRequest(431, f"more than {MAX_HEADER_LINES} header lines")
         except ConnectionResetError:
             return None
         except ValueError:  # readline(): a line over the reader's limit
@@ -234,6 +259,8 @@ class ServeServer:
     ) -> None:
         reasons = {200: "OK", 400: "Bad Request", 404: "Not Found",
                    405: "Method Not Allowed", 413: "Payload Too Large",
+                   431: "Request Header Fields Too Large",
+                   500: "Internal Server Error",
                    503: "Service Unavailable", 504: "Gateway Timeout"}
         body = json.dumps(payload, separators=(",", ":"), sort_keys=True).encode()
         head = [

@@ -17,6 +17,7 @@ invariant auditing, and event tracing.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.errors import StorageError
@@ -93,10 +94,10 @@ class PagedEngine(StorageEngine):
     def scan_relation(self) -> int:
         return self.relation.scan(self.pool)
 
-    def read_successors(self, node: int) -> list[int]:
+    def read_successors(self, node: int) -> Sequence[int]:
         return self.relation.read_successors(node, self.pool)
 
-    def read_predecessors(self, node: int) -> list[int]:
+    def read_predecessors(self, node: int) -> Sequence[int]:
         if self.inverse_relation is None:
             raise StorageError(
                 "the inverse relation was not materialised for this run"

@@ -16,6 +16,7 @@ charged through a :class:`~repro.storage.buffer.BufferPool`.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections.abc import Sequence
 
 from repro.graphs.digraph import Digraph
 from repro.storage.buffer import BufferPool
@@ -60,6 +61,10 @@ class ArcRelation:
         # (the index pages are the leaves, then the root).
         self._pages = [PageId(kind, n) for n in range(self.num_pages)]
         self._index_pages = [PageId(index_kind, n) for n in range(self.num_index_leaves + 1)]
+        # node -> (the pages one indexed read charges, the node's row),
+        # built on the node's first read: a search re-reads a node once
+        # per source that reaches it.
+        self._reads: dict[int, tuple[tuple[PageId, ...], Sequence[int]]] = {}
 
     # -- layout ------------------------------------------------------------
 
@@ -94,24 +99,30 @@ class ArcRelation:
         pool.access_pages(self._pages)
         return self.num_pages
 
-    def read_successors(self, node: int, pool: BufferPool, use_index: bool = True) -> list[int]:
+    def read_successors(self, node: int, pool: BufferPool) -> Sequence[int]:
         """Fetch ``node``'s successor tuples via the clustered index.
 
         Charges the index root + leaf access and the data page(s) of the
         node's tuple run, in that order and in one pool call, then
-        returns the successors.  Selection-query restructuring uses this
-        to search forward from the source nodes (Section 3.6: "this can
-        be done efficiently if the input relation is clustered and
-        indexed on the source attribute").
+        returns the successors.  Every read charges its pages; only
+        building the page list and the row is done once per node.
+        Selection-query restructuring uses this to search forward from
+        the source nodes (Section 3.6: "this can be done efficiently if
+        the input relation is clustered and indexed on the source
+        attribute").
         """
-        numbers = self.pages_for_node(node)
-        data = self._pages[numbers.start:numbers.stop]
-        if use_index:
+        read = self._reads.get(node)
+        if read is None:
+            numbers = self.pages_for_node(node)
             index = self._index_pages
-            pool.access_pages((index[-1], index[node // INDEX_ENTRIES_PER_PAGE], *data))
-        else:
-            pool.access_pages(data)
-        return self._graph.successors(node)
+            pages = (
+                index[-1],
+                index[node // INDEX_ENTRIES_PER_PAGE],
+                *self._pages[numbers.start:numbers.stop],
+            )
+            read = self._reads[node] = (pages, self._graph.successors(node))
+        pool.access_pages(read[0])
+        return read[1]
 
     def probe_arcs_unclustered(self, node_arcs: int, pool: BufferPool, seed_position: int) -> None:
         """Charge ``node_arcs`` unclustered tuple accesses.
@@ -147,6 +158,6 @@ class InverseArcRelation(ArcRelation):
             index_kind=PageKind.INVERSE_INDEX,
         )
 
-    def read_predecessors(self, node: int, pool: BufferPool, use_index: bool = True) -> list[int]:
+    def read_predecessors(self, node: int, pool: BufferPool) -> Sequence[int]:
         """Fetch ``node``'s immediate predecessors via the inverse index."""
-        return self.read_successors(node, pool, use_index=use_index)
+        return self.read_successors(node, pool)

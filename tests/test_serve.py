@@ -19,7 +19,7 @@ from repro.experiments.parallel import DEFAULT_BACKOFF, ExperimentEngine
 from repro.graphs.generator import generate_dag
 from repro.graphs.toposort import reachable_from
 from repro.serve.breaker import BreakerState, CircuitBreaker
-from repro.serve.http import MAX_REQUEST_BYTES, ServeClient, ServeServer
+from repro.serve.http import MAX_HEADER_LINES, MAX_REQUEST_BYTES, ServeClient, ServeServer
 from repro.serve.retry import (
     DEFAULT_BACKOFF_SEED,
     BackoffPolicy,
@@ -661,6 +661,14 @@ MALFORMED_REQUESTS = [
         b"POST /batch HTTP/1.1\r\nContent-Length: 10\r\n\r\n{}", None,
         id="body-cut-short-by-the-client",
     ),
+    pytest.param(b"GET\r\n\r\n", 400, id="request-line-without-a-target"),
+    pytest.param(
+        b"GET /healthz HTTP/1.1\r\n"
+        + b"".join(b"X-Filler-%d: a\r\n" % i for i in range(20_000))
+        + b"\r\n",
+        431,
+        id="header-lines-over-the-cap",
+    ),
 ]
 
 
@@ -680,6 +688,8 @@ class TestMalformedRequests:
                 if expected is not None:
                     assert headers["connection"] == "close"
                     assert "error" in payload
+                rejected = service.telemetry.count("invalid_requests")
+                assert rejected == (0 if expected is None else 1)
                 # The server keeps answering on a fresh connection.
                 assert (await client.reachable(0, 1))[0] == 200
             finally:
@@ -688,3 +698,50 @@ class TestMalformedRequests:
             assert unhandled == []
 
         asyncio.run(run())
+
+    def test_header_lines_up_to_the_cap_are_accepted(self, graph):
+        async def run():
+            service, server, client = await start_server(graph)
+            try:
+                raw = (
+                    b"GET /healthz HTTP/1.1\r\n"
+                    + b"".join(b"X-Filler-%d: a\r\n" % i for i in range(MAX_HEADER_LINES))
+                    + b"\r\n"
+                )
+                status, _, _ = await raw_exchange(server.port, raw)
+                assert status == 200
+            finally:
+                await client.close()
+                await server.close()
+
+        asyncio.run(run())
+
+    def test_an_internal_error_is_a_structured_500(self, graph, capsys):
+        async def run():
+            loop = asyncio.get_running_loop()
+            unhandled = []
+            loop.set_exception_handler(lambda _loop, context: unhandled.append(context))
+            service, server, client = await start_server(graph)
+
+            def broken_stats():
+                raise RuntimeError("stats exploded")
+
+            service.stats = broken_stats
+            try:
+                status, headers, payload = await raw_exchange(
+                    server.port, b"GET /stats HTTP/1.1\r\n\r\n"
+                )
+                await asyncio.sleep(0.05)
+                assert status == 500
+                assert headers["connection"] == "close"
+                assert payload == {"error": "internal server error (RuntimeError)"}
+                assert service.telemetry.count("errors") == 1
+                # The server keeps answering on a fresh connection.
+                assert (await client.reachable(0, 1))[0] == 200
+            finally:
+                await client.close()
+                await server.close()
+            assert unhandled == []
+
+        asyncio.run(run())
+        assert "stats exploded" in capsys.readouterr().err
