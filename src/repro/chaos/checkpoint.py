@@ -8,11 +8,13 @@ identity (algorithm, family, query shape, system config, scale
 profile), which is also its seed tuple -- holding the averaged metrics
 and every per-run :class:`~repro.obs.record.RunRecord` of the cell.
 
-Crash safety: each line is written whole, flushed, and fsynced before
-the engine moves on, so the journal never holds a half-cell; at worst
-the final line is truncated mid-write, which :meth:`SweepJournal.load`
-tolerates (with a warning) by discarding it.  A malformed line anywhere
-else raises :class:`~repro.errors.RecordFileError` naming ``file:line``.
+Crash safety: the journal is a :class:`~repro.obs.sink.RecordFile`, so
+each line is written whole, flushed, and fsynced before the engine
+moves on, and the journal never holds a half-cell; at worst the final
+line is truncated mid-write, which loading tolerates (with a warning)
+by discarding it.  A malformed line anywhere else -- including one of
+another :data:`JOURNAL_SCHEMA_VERSION` or with a wrong-typed field --
+raises :class:`~repro.errors.RecordFileError` naming ``file:line``.
 
 Resuming with the same journal replays each journaled cell -- the
 records go back out to the sinks in their canonical order and the
@@ -29,19 +31,23 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
-import sys
 from pathlib import Path
-from typing import IO, TYPE_CHECKING, Any
+from typing import TYPE_CHECKING, Any
 
-from repro.errors import RecordFileError
-from repro.obs.record import RunRecord
+from repro.obs.record import NUMBER, RunRecord, check_type
+from repro.obs.sink import RecordFile
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.runner import AveragedMetrics
 
 JOURNAL_SCHEMA_VERSION = 1
-"""Bump when the journal line layout changes incompatibly."""
+"""Version of the journal's lines; a line of any other version is refused.
+
+Bump it when the line layout changes, *and* in any change that alters
+a counter on purpose: a journaled cell holds the counters of the code
+that computed it, so a resume must never mix old and new cells in one
+figure.
+"""
 
 
 class SweepJournal:
@@ -50,28 +56,22 @@ class SweepJournal:
     Opening a journal loads whatever a previous (possibly killed)
     sweep recorded; completed cells are then served from memory via
     :meth:`get` and new completions appended durably via :meth:`record`.
-
-    By default every appended cell is flushed *and fsynced* before
-    :meth:`record` returns.  ``flush_every=N`` opts into batched
-    durability for very fine-grained sweeps: the flush+fsync pair runs
-    once per ``N`` cells (and always on :meth:`close`), widening the
-    crash window to at most ``N - 1`` acknowledged cells -- whole-line
-    atomicity is unchanged, so a torn final record is still the only
-    possible damage and :meth:`_load` still recovers every earlier one.
+    Every appended cell is flushed *and fsynced* before :meth:`record`
+    returns.
     """
 
-    def __init__(self, path: str | Path, flush_every: int = 1) -> None:
-        if flush_every < 1:
-            raise ValueError(f"flush_every must be >= 1, got {flush_every}")
+    def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        self.flush_every = flush_every
+        self._file = RecordFile(self.path)
         self._cells: dict[str, tuple["AveragedMetrics", list[RunRecord]]] = {}
-        self._handle: IO[str] | None = None
-        self._pending = 0
-        self.loaded = 0
         self.appended = 0
         if self.path.exists():
-            self._load()
+            for key, metrics, records in self._file.read(
+                _decode_cell, "journal",
+                "corrupt checkpoint line (only the final line may be truncated)",
+            ):
+                self._cells[key] = (metrics, records)
+        self.loaded = len(self._cells)
 
     # -- queries --------------------------------------------------------------
 
@@ -93,47 +93,17 @@ class SweepJournal:
         if key in self._cells:
             return
         self._cells[key] = (metrics, records)
-        line = json.dumps(
-            {
-                "schema_version": JOURNAL_SCHEMA_VERSION,
-                "key": key,
-                "metrics": dataclasses.asdict(metrics),
-                "records": [record.to_dict() for record in records],
-            },
-            separators=(",", ":"),
-            sort_keys=True,
-        )
-        if self._handle is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = self.path.open("a")
-        # Whole line, then flush + fsync (immediately by default, per
-        # batch under flush_every): a crash can truncate the final line
-        # but never interleave or lose a *durable* cell.
-        self._handle.write(line + "\n")
-        self._pending += 1
-        if self._pending >= self.flush_every:
-            self._make_durable()
+        self._file.append({
+            "schema_version": JOURNAL_SCHEMA_VERSION,
+            "key": key,
+            "metrics": dataclasses.asdict(metrics),
+            "records": [record.to_dict() for record in records],
+        })
         self.appended += 1
 
-    def _make_durable(self) -> None:
-        """Flush and fsync the journal handle: the one durability point.
-
-        Every buffered-write path ends here -- per cell by default, per
-        batch under ``flush_every``, and unconditionally on
-        :meth:`close` -- the same discipline RPL006 checks on the JSONL
-        sink.
-        """
-        if self._handle is not None:
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
-        self._pending = 0
-
     def close(self) -> None:
-        """Make any batched tail durable and release the handle."""
-        if self._handle is not None:
-            self._make_durable()
-            self._handle.close()
-            self._handle = None
+        """Release the journal's file handle."""
+        self._file.close()
 
     def __enter__(self) -> "SweepJournal":
         return self
@@ -142,53 +112,30 @@ class SweepJournal:
         self.close()
         return False
 
-    # -- loading ---------------------------------------------------------------
-
-    def _load(self) -> None:
-        from repro.experiments.runner import AveragedMetrics
-
-        known = {f.name for f in dataclasses.fields(AveragedMetrics)}
-        with self.path.open() as handle:
-            lines = handle.readlines()
-        for number, line in enumerate(lines, start=1):
-            stripped = line.strip()
-            if not stripped:
-                continue
-            try:
-                data = json.loads(stripped)
-                if not isinstance(data, dict):
-                    raise TypeError(f"expected a JSON object, got {type(data).__name__}")
-                if not isinstance(data["metrics"], dict):
-                    raise TypeError("'metrics' is not an object")
-                if not (isinstance(data["records"], list)
-                        and all(isinstance(r, dict) for r in data["records"])):
-                    raise TypeError("'records' is not a list of record objects")
-                metrics = AveragedMetrics(
-                    **{k: v for k, v in data["metrics"].items() if k in known}
-                )
-                records = [RunRecord.from_dict(r) for r in data["records"]]
-                key = data["key"]
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
-                if number == len(lines):
-                    # The expected crash signature: a final line cut off
-                    # mid-write.  Drop it; the cell simply re-runs.
-                    print(
-                        f"warning: {self.path}:{number}: discarding truncated "
-                        f"final journal line ({type(exc).__name__})",
-                        file=sys.stderr,
-                    )
-                    continue
-                raise RecordFileError(
-                    f"{self.path}:{number}: corrupt checkpoint line "
-                    f"(only the final line may be truncated): {exc}"
-                ) from exc
-            self._cells[key] = (metrics, records)
-        self.loaded = len(self._cells)
-
     def describe(self) -> str:
         """One status line for sweep drivers to print."""
         return (f"checkpoint {self.path}: {self.loaded} cell(s) resumed, "
                 f"{self.appended} appended")
+
+
+def _decode_cell(data: Any) -> "tuple[str, AveragedMetrics, list[RunRecord]]":
+    """One journal line's cell, every field checked for its JSON type."""
+    from repro.experiments.runner import AveragedMetrics
+
+    check_type("a journal line", data, dict)
+    version = data.get("schema_version")
+    if type(version) is not int or version != JOURNAL_SCHEMA_VERSION:
+        raise ValueError(
+            f"journal schema version {version!r} is not {JOURNAL_SCHEMA_VERSION}"
+        )
+    key, metrics, records = data.get("key"), data.get("metrics"), data.get("records")
+    check_type("'key'", key, str)
+    check_type("'metrics'", metrics, dict)
+    check_type("'records'", records, list)
+    values = {f.name: metrics.get(f.name) for f in dataclasses.fields(AveragedMetrics)}
+    for name, value in values.items():
+        check_type(f"metric {name!r}", value, {"algorithm": str, "runs": int}.get(name, NUMBER))
+    return key, AveragedMetrics(**values), [RunRecord.from_dict(r) for r in records]
 
 
 def cell_key(algorithm: str, family: str, selectivity: int | None,

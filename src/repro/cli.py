@@ -257,8 +257,7 @@ def _run_command(args: argparse.Namespace) -> int:
             for index, name in enumerate(names)
         ])
 
-    # enabled=True: an explicit --emit-json beats the REPRO_OBS env toggle.
-    sink = JsonlSink(args.emit_json, enabled=True) if args.emit_json is not None else None
+    sink = JsonlSink(args.emit_json) if args.emit_json is not None else None
     rows = []
     trace_sections = []
     for name, outcome in zip(names, outcomes):
@@ -636,7 +635,7 @@ def _serve_command(args: argparse.Namespace) -> int:
 def _emit_serve_record(args: argparse.Namespace, service: object) -> None:
     if args.emit_json is None:
         return
-    sink = JsonlSink(args.emit_json, enabled=True)
+    sink = JsonlSink(args.emit_json)
     sink.emit(service.to_run_record(_workload_dict(args)))  # type: ignore[attr-defined]
     sink.close()
 

@@ -40,11 +40,14 @@ class IngestError(ReproError, ValueError):
 class RecordFileError(ReproError, ValueError):
     """A JSONL run-record file or a sweep journal has a malformed line.
 
-    Raised by :func:`repro.obs.compare.load_records` and
-    :class:`repro.chaos.checkpoint.SweepJournal` with ``file:line`` in
-    the message, for any line but the last (a damaged final line is
+    Raised by :meth:`repro.obs.sink.RecordFile.read` -- behind
+    :func:`repro.obs.compare.load_records` and
+    :class:`repro.chaos.checkpoint.SweepJournal` -- with ``file:line``
+    in the message, for any line but the last (a damaged final line is
     the crash-truncation signature and is discarded with a warning).
-    Also a :class:`ValueError`, like :class:`IngestError`.
+    A line is malformed when it is not UTF-8, not JSON, or a field has
+    the wrong JSON type or schema version.  Also a :class:`ValueError`,
+    like :class:`IngestError`.
     """
 
 

@@ -2,10 +2,11 @@
 
 The kill-then-resume guarantee rests on two files: the sweep journal
 (``repro/chaos/checkpoint.py``) and the JSONL run-record sink
-(``repro/obs/sink.py``).  A record that was ``write()``-ten but still
-sitting in a userspace or kernel buffer when the process dies is a
-record that never happened -- resume would silently re-run (or worse,
-skip) units.  Every function in those modules that writes to a stream
+(``repro/obs/sink.py``), both written through
+:class:`~repro.obs.sink.RecordFile`.  A record that was
+``write()``-ten but still sitting in a userspace or kernel buffer when
+the process dies is a record that never happened -- resume would
+silently re-run (or worse, skip) units.  Every function in those modules that writes to a stream
 must therefore also ``flush()`` it and ``os.fsync()`` its fd.
 
 Functions that only write through an already-durable helper (no direct
@@ -13,11 +14,11 @@ Functions that only write through an already-durable helper (no direct
 
 A writer may also *delegate* durability: calling a sibling function in
 the same module whose own body contains the ``flush()`` + ``os.fsync()``
-pair satisfies the rule (the batched :class:`~repro.obs.sink.JsonlSink`
-writes per record but funnels every durability point through one
-``_make_durable()`` helper).  The delegation is only honoured when the
-helper itself is defined in the checked module, so the discipline stays
-auditable file-locally.
+pair satisfies the rule (:meth:`~repro.obs.sink.RecordFile.append`
+writes each line and funnels it through the one ``_make_durable()``
+helper).  The delegation is only honoured when the helper itself is
+defined in the checked module, so the discipline stays auditable
+file-locally.
 """
 
 from __future__ import annotations

@@ -9,8 +9,9 @@ durable.  See ``docs/OBSERVABILITY.md`` for the full guide.
 * :mod:`repro.obs.record` -- :class:`RunRecord`, the JSON-serialisable
   description of one run (workload, config, metrics, per-phase I/O,
   spans, optional profile folded from a collector's page events);
-* :mod:`repro.obs.sink` -- JSONL / memory / null sinks plus the
-  ``REPRO_OBS`` environment toggle and a process-wide sink;
+* :mod:`repro.obs.sink` -- JSONL / memory sinks, a process-wide sink,
+  and :class:`~repro.obs.sink.RecordFile`, the durable JSONL file that
+  run records and the sweep journal are written to and read from;
 * :mod:`repro.obs.compare` -- the noise-aware baseline-vs-candidate
   regression gate behind ``python -m repro compare``;
 * :mod:`repro.obs.tracing` -- the structured engine event trace
@@ -42,10 +43,8 @@ _LAZY = {
     "summarise_trace": "repro.obs.record",
     "JsonlSink": "repro.obs.sink",
     "MemorySink": "repro.obs.sink",
-    "NullSink": "repro.obs.sink",
     "RunSink": "repro.obs.sink",
     "get_global_sink": "repro.obs.sink",
-    "obs_enabled": "repro.obs.sink",
     "set_global_sink": "repro.obs.sink",
     "TraceCollector": "repro.obs.tracing",
     "TraceEventRecord": "repro.obs.tracing",

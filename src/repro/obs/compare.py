@@ -27,14 +27,13 @@ iff any gated metric in any cell grew beyond its band.
 from __future__ import annotations
 
 import json
-import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Union
 
-from repro.errors import RecordFileError
 from repro.metrics.report import format_table
 from repro.obs.record import RunRecord
+from repro.obs.sink import RecordFile
 
 RecordSource = Union[str, Path, list[RunRecord]]
 
@@ -42,38 +41,16 @@ RecordSource = Union[str, Path, list[RunRecord]]
 def load_records(source: RecordSource) -> list[RunRecord]:
     """Read run records from a JSONL file (or pass a list through).
 
-    A malformed *final* line -- a truncated one is the signature a
-    crash mid-append leaves behind (:class:`~repro.obs.sink.JsonlSink`
-    fsyncs whole lines) -- is discarded with a warning.  A malformed
-    line anywhere else (bad JSON, or JSON that is not an object) raises
-    :class:`~repro.errors.RecordFileError`: that is not a crash artefact
-    but a damaged file.
+    The file is read through :class:`~repro.obs.sink.RecordFile`, each
+    line decoded by :meth:`RunRecord.from_dict`: a malformed *final*
+    line -- a truncated one is the signature a crash mid-append leaves
+    behind -- is discarded with a warning, and a malformed line
+    anywhere else raises :class:`~repro.errors.RecordFileError` naming
+    ``file:line``.
     """
     if isinstance(source, list):
         return source
-    path = Path(source)
-    records = []
-    with path.open() as handle:
-        lines = handle.readlines()
-    for number, raw_line in enumerate(lines, start=1):
-        line = raw_line.strip()
-        if not line:
-            continue
-        try:
-            data = json.loads(line)
-            if not isinstance(data, dict):
-                raise TypeError(f"expected a JSON object, got {type(data).__name__}")
-            records.append(RunRecord.from_dict(data))
-        except (json.JSONDecodeError, TypeError) as exc:
-            if number == len(lines):
-                print(
-                    f"warning: {path}:{number}: discarding truncated final "
-                    f"record line ({type(exc).__name__})",
-                    file=sys.stderr,
-                )
-                continue
-            raise RecordFileError(f"{path}:{number}: not a RunRecord line: {exc}") from exc
-    return records
+    return RecordFile(source).read(RunRecord.from_dict, "record", "not a RunRecord line")
 
 
 @dataclass(frozen=True)

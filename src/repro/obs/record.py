@@ -49,6 +49,34 @@ SUPPORTED_SCHEMA_VERSIONS = frozenset({1, 2})
 """Schema versions :meth:`RunRecord.from_dict` accepts."""
 
 
+NUMBER = (int, float)
+"""The JSON number types, for :func:`check_type` (a bool is never one)."""
+
+_FIELD_TYPES: dict[str, type[Any] | tuple[type[Any], ...]] = {
+    "algorithm": str,
+    "workload": dict,
+    "query": dict,
+    "system": dict,
+    "metrics": dict,
+    "spans": dict,
+    "trace": (dict, type(None)),
+    "wall_seconds": NUMBER,
+    "faults": list,
+}
+"""The JSON type of each :class:`RunRecord` field, checked on load."""
+
+
+def check_type(name: str, value: Any,
+               expected: type[Any] | tuple[type[Any], ...]) -> None:
+    """Raise :class:`TypeError` unless ``value`` is of ``expected`` type.
+
+    A bool never passes: JSON ``true`` is neither a number nor any other
+    type a record or journal field holds.
+    """
+    if isinstance(value, bool) or not isinstance(value, expected):
+        raise TypeError(f"{name} has the wrong JSON type ({type(value).__name__})")
+
+
 def io_stats_dict(io: IoStats) -> dict[str, Any]:
     """Serialise :class:`IoStats` with both of its breakdowns.
 
@@ -273,22 +301,39 @@ class RunRecord:
         return json.dumps(self.to_dict(), separators=(",", ":"), sort_keys=True)
 
     @classmethod
-    def from_dict(cls, data: dict[str, Any]) -> "RunRecord":
-        """Rebuild a record from its dictionary form.
+    def from_dict(cls, data: Any) -> "RunRecord":
+        """Rebuild a record from its dictionary form, checking each type.
 
         Accepts every schema version in
         :data:`SUPPORTED_SCHEMA_VERSIONS` (older records simply lack
         the newer optional keys); refuses records written by a *newer*
         schema rather than silently dropping fields it cannot know
-        about.
+        about.  Every present field must have its JSON type, and so
+        must each fault, each span statistic and the ``metrics`` the
+        comparison gate computes with, so a damaged record is refused
+        here rather than failing in whatever reads it later.
         """
+        check_type("a RunRecord", data, dict)
         version = data.get("schema_version", SCHEMA_VERSION)
-        if version not in SUPPORTED_SCHEMA_VERSIONS:
+        if type(version) is not int or version not in SUPPORTED_SCHEMA_VERSIONS:
             supported = ", ".join(str(v) for v in sorted(SUPPORTED_SCHEMA_VERSIONS))
             raise ValueError(
                 f"unsupported RunRecord schema version {version!r} "
                 f"(supported: {supported})"
             )
+        for name, expected in _FIELD_TYPES.items():
+            if name in data:
+                check_type(f"field {name!r}", data[name], expected)
+        for fault in data.get("faults", ()):
+            check_type("a fault", fault, dict)
+        for path, stats in data.get("spans", {}).items():
+            check_type(f"span {path!r}", stats, dict)
+            for stat, value in stats.items():
+                check_type(f"span {path!r} {stat!r}", value, NUMBER)
+        metrics = data.get("metrics", {})
+        for name in ("total_io", "cpu_seconds"):
+            if name in metrics:
+                check_type(f"metric {name!r}", metrics[name], NUMBER)
         known = {f.name for f in dataclasses.fields(cls)}
         return cls(**{key: value for key, value in data.items() if key in known})
 

@@ -1,20 +1,19 @@
-"""Run-record sinks: where :class:`~repro.obs.record.RunRecord`\\ s go.
+"""Run-record sinks, and the one durable record file behind them.
 
 The default everywhere is *no sink*: the experiment engine takes
 ``sink=None`` and the algorithms build no record at all, so a run's
-records go nowhere unless asked for.  Three sinks are provided:
+records go nowhere unless asked for.  Two sinks are provided:
 
-* :class:`JsonlSink` -- appends one JSON line per record to a file;
+* :class:`JsonlSink` -- appends one JSON line per record to a
+  :class:`RecordFile`;
 * :class:`MemorySink` -- collects records in a list (tests, the
-  benchmark session summary);
-* :class:`NullSink` -- explicit no-op, for code that wants to pass a
-  sink object unconditionally.
+  benchmark session summary).
 
-:class:`JsonlSink` honours the ``REPRO_OBS`` environment variable:
-setting it to ``0``/``false``/``off``/``no`` disables emission even
-when a sink is constructed, so a pipeline can be silenced without
-touching code.  The constructor's ``enabled`` argument overrides the
-environment either way.
+:class:`RecordFile` is the single durable JSONL file of the package:
+the run-record file above and the sweep journal of
+:class:`~repro.chaos.checkpoint.SweepJournal` both append through it,
+and :func:`~repro.obs.compare.load_records` and the journal both read
+through it.
 
 A process-wide *global sink* can also be installed with
 :func:`set_global_sink`; the experiment engine's
@@ -26,25 +25,100 @@ through every table/figure function.
 
 from __future__ import annotations
 
+import json
 import os
-from collections.abc import Iterable
+import sys
+from collections.abc import Callable
 from pathlib import Path
-from typing import IO, Union
+from typing import IO, Any, TypeVar
 
+from repro.errors import RecordFileError
 from repro.obs.record import RunRecord
 
-ENV_TOGGLE = "REPRO_OBS"
-"""Environment variable that force-disables sinks when falsy."""
-
-_FALSY = {"0", "false", "off", "no"}
+T = TypeVar("T")
 
 
-def obs_enabled(default: bool = True) -> bool:
-    """Whether the environment allows record emission."""
-    value = os.environ.get(ENV_TOGGLE)
-    if value is None:
-        return default
-    return value.strip().lower() not in _FALSY
+class RecordFile:
+    """An append-only file of JSON lines, written durably, read by type.
+
+    **Writing.**  The file is opened lazily on the first
+    :meth:`append`, in append mode, so a baseline file can be
+    accumulated over several invocations.  Each object is written as
+    one compact, key-sorted JSON line, then flushed *and fsynced*
+    before :meth:`append` returns: a crash -- even a power loss -- can
+    at worst truncate the final line, never lose an acknowledged line
+    or interleave two.
+
+    **Reading.**  :meth:`read` decodes each line on its own, from
+    bytes, with the caller's ``decode`` function, which checks every
+    field's type.  A line that is not UTF-8, not JSON (including JSON
+    nested too deeply to parse) or refused by ``decode`` is malformed.
+    A malformed *final* line is the signature of a crash mid-append and
+    is discarded with a warning; a malformed line anywhere else is a
+    damaged file and raises :class:`~repro.errors.RecordFileError`
+    naming ``file:line``.
+    """
+
+    def __init__(self, path: str | Path) -> None:
+        self.path = Path(path)
+        self._handle: IO[str] | None = None
+        self._pid = os.getpid()
+
+    def append(self, obj: Any) -> None:
+        """Write ``obj`` as one JSON line and make it durable."""
+        if self._handle is not None and os.getpid() != self._pid:
+            # Fork guard: a child that inherited an open handle must not
+            # share the parent's file position.  Reopen in this process
+            # (append mode keeps concurrent whole-line writes intact).
+            self._handle = None
+        if self._handle is None:
+            self._pid = os.getpid()
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            self._handle = self.path.open("a")
+        self._handle.write(json.dumps(obj, separators=(",", ":"), sort_keys=True) + "\n")
+        self._make_durable(self._handle)
+
+    @staticmethod
+    def _make_durable(handle: IO[str]) -> None:
+        """Flush and fsync ``handle``: the one durability point.
+
+        Every line written to a record file or a sweep journal passes
+        through here before :meth:`append` returns, which is the
+        discipline the RPL006 lint rule checks.
+        """
+        handle.flush()
+        os.fsync(handle.fileno())
+
+    def close(self) -> None:
+        """Release the handle (every appended line is already durable)."""
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
+
+    def read(self, decode: Callable[[Any], T], kind: str, refusal: str) -> list[T]:
+        """Decode every line of the file, in order.
+
+        ``kind`` names the line in the truncation warning and
+        ``refusal`` starts the :class:`~repro.errors.RecordFileError`
+        message of a malformed line that is not the last.
+        """
+        lines = self.path.read_bytes().splitlines()
+        decoded: list[T] = []
+        for number, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
+            try:
+                decoded.append(decode(json.loads(line.decode("utf-8"))))
+            except (ValueError, TypeError, RecursionError) as exc:
+                if number == len(lines):
+                    print(
+                        f"warning: {self.path}:{number}: discarding truncated "
+                        f"final {kind} line ({type(exc).__name__})",
+                        file=sys.stderr,
+                    )
+                    continue
+                raise RecordFileError(f"{self.path}:{number}: {refusal}: {exc}") from exc
+        return decoded
 
 
 class RunSink:
@@ -53,17 +127,6 @@ class RunSink:
     def emit(self, record: RunRecord) -> None:
         """Accept one record."""
         raise NotImplementedError
-
-    def emit_many(self, records: Iterable[RunRecord]) -> None:
-        """Accept several records, preserving their order.
-
-        Multi-process runs merge through this path: worker processes
-        hand their records back to the parent, which replays them here
-        in the canonical (serial) order -- sinks therefore never need
-        cross-process locking.
-        """
-        for record in records:
-            self.emit(record)
 
     def close(self) -> None:
         """Release any resources; emitting afterwards is an error."""
@@ -74,13 +137,6 @@ class RunSink:
     def __exit__(self, *exc: object) -> bool:
         self.close()
         return False
-
-
-class NullSink(RunSink):
-    """A sink that discards everything."""
-
-    def emit(self, record: RunRecord) -> None:
-        pass
 
 
 class MemorySink(RunSink):
@@ -97,73 +153,21 @@ class MemorySink(RunSink):
 
 
 class JsonlSink(RunSink):
-    """Appends records to a JSONL file, one compact JSON object per line.
+    """Appends records to a :class:`RecordFile`, one JSON line each.
 
-    The file is opened lazily on the first emit (append mode, so a
-    baseline file can be accumulated over several invocations).  By
-    default every record is written as one whole line, flushed, *and
-    fsynced*, so a crash -- even a power loss -- can at worst truncate
-    the final line, never lose an acknowledged record or interleave two
-    (:func:`repro.obs.compare.load_records` tolerates exactly that
-    truncated-final-line signature).
-
-    ``flush_every=N`` opts into *batched* durability for high-rate
-    emission (bench sweeps with ``--reps``, trace-heavy sessions): the
-    flush+fsync pair runs once per ``N`` records instead of per record,
-    and always on :meth:`close`.  The crash window widens to at most
-    ``N - 1`` acknowledged records; whole-line atomicity is unchanged.
+    Each line equals :meth:`RunRecord.to_json` and is durable when
+    :meth:`emit` returns; :func:`repro.obs.compare.load_records` reads
+    the file back.
     """
 
-    def __init__(
-        self,
-        path: str | Path,
-        enabled: bool | None = None,
-        flush_every: int = 1,
-    ) -> None:
-        if flush_every < 1:
-            raise ValueError(f"flush_every must be >= 1, got {flush_every}")
-        self.path = Path(path)
-        self.enabled = obs_enabled() if enabled is None else enabled
-        self.flush_every = flush_every
-        self._handle: IO[str] | None = None
-        self._pending = 0
-        self._pid = os.getpid()
+    def __init__(self, path: str | Path) -> None:
+        self._file = RecordFile(path)
 
     def emit(self, record: RunRecord) -> None:
-        if not self.enabled:
-            return
-        if self._handle is not None and os.getpid() != self._pid:
-            # Fork guard: a child that inherited an open handle must not
-            # share the parent's file position.  Reopen in this process
-            # (append mode keeps concurrent whole-line writes intact).
-            self._handle = None
-            self._pending = 0
-        if self._handle is None:
-            self._pid = os.getpid()
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = self.path.open("a")
-        self._handle.write(record.to_json() + "\n")
-        self._pending += 1
-        if self._pending >= self.flush_every:
-            self._make_durable()
-
-    def _make_durable(self) -> None:
-        """Flush and fsync the handle: the sink's one durability point.
-
-        Every buffered-write path ends here (per record by default,
-        per batch under ``flush_every``, and unconditionally on close),
-        which is the discipline the RPL006 lint rule checks.
-        """
-        if self._handle is not None:
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
-        self._pending = 0
+        self._file.append(record.to_dict())
 
     def close(self) -> None:
-        if self._handle is not None:
-            self._make_durable()
-            self._handle.close()
-            self._handle = None
+        self._file.close()
 
 
 # -- process-wide sink -------------------------------------------------------

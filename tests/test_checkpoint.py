@@ -33,6 +33,10 @@ MALFORMED = {
     "metrics-not-an-object": lambda cell: {**cell, "metrics": [1]},
     "records-not-objects": lambda cell: {**cell, "records": [1]},
     "records-not-a-list": lambda cell: {**cell, "records": 5},
+    "key-not-a-string": lambda cell: {**cell, "key": []},
+    "metrics-value-not-a-number": lambda cell: {
+        **cell, "metrics": {name: "x" for name in cell["metrics"]}},
+    "version-mismatch": lambda cell: {**cell, "schema_version": 99},
 }
 
 
@@ -109,46 +113,32 @@ class TestJournal:
     def test_resume_from_a_malformed_journal_exits_two(self, tmp_path, monkeypatch,
                                                        capsys):
         monkeypatch.chdir(tmp_path)
-        _journal_with_damaged_line(tmp_path / "sweep.journal", 0, "metrics-not-an-object")
-        assert main(["--profile", "smoke", "--only", "figure8",
-                     "--resume", "sweep.journal", "--no-file"]) == 2
-        err = capsys.readouterr().err
-        assert err.count("error:") == 1
-        assert "error: RecordFileError: sweep.journal:1: corrupt checkpoint line" in err
-        assert "Traceback" not in err
-
-    def test_flush_every_batches_durability(self, tmp_path):
-        path = tmp_path / "sweep.journal"
-        with SweepJournal(path, flush_every=3) as journal:
-            journal.record("cell-a", _metrics(), _records())
-            journal.record("cell-b", _metrics(), _records())
-            assert journal._pending == 2  # batched, not yet fsynced
-            journal.record("cell-c", _metrics(), _records())
-            assert journal._pending == 0  # batch boundary flushed
-            journal.record("cell-d", _metrics(), _records())
-        # close() drains the partial tail batch.
-        assert SweepJournal(path).loaded == 4
-
-    def test_flush_every_rejects_non_positive(self, tmp_path):
-        with pytest.raises(ValueError, match="flush_every"):
-            SweepJournal(tmp_path / "sweep.journal", flush_every=0)
+        for damage in ("metrics-not-an-object", "metrics-value-not-a-number",
+                       "key-not-a-string", "version-mismatch"):
+            _journal_with_damaged_line(tmp_path / "sweep.journal", 0, damage)
+            assert main(["--profile", "smoke", "--only", "figure8",
+                         "--resume", "sweep.journal", "--no-file"]) == 2, damage
+            err = capsys.readouterr().err
+            assert err.count("error:") == 1
+            assert "error: RecordFileError: sweep.journal:1: corrupt checkpoint line" in err
+            assert "Traceback" not in err
+            (tmp_path / "sweep.journal").unlink()
 
     def test_torn_final_checkpoint_record_under_batching(self, tmp_path, capsys):
-        """A kill that tears the *final* record of a flush_every batch.
+        """A kill that tears the *final* record keeps every earlier one.
 
-        Only the last line may be damaged (whole-line writes), and
-        recovery must keep every earlier record of the same batch.
+        Each record is durable when :meth:`SweepJournal.record` returns,
+        so the file is read back without any flush; only the last line
+        may be damaged (whole-line writes), and recovery must keep every
+        earlier record.
         """
         path = tmp_path / "sweep.journal"
-        journal = SweepJournal(path, flush_every=4)
+        journal = SweepJournal(path)
         for name in ("cell-a", "cell-b", "cell-c"):
             journal.record(name, _metrics(), _records())
-        # Kill before the batch boundary: the OS got whatever the libc
-        # buffer held.  Model the worst allowed damage -- everything up
-        # to a cut partway through the final record.
-        journal._handle.flush()
-        data = path.read_bytes()
-        lines = data.splitlines(keepends=True)
+        # Model the worst allowed damage: a cut partway through the
+        # final record.
+        lines = path.read_bytes().splitlines(keepends=True)
         assert len(lines) == 3
         path.write_bytes(b"".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 3])
 
@@ -162,11 +152,10 @@ class TestJournal:
         self, tmp_path
     ):
         path = tmp_path / "sweep.journal"
-        journal = SweepJournal(path, flush_every=2)
+        journal = SweepJournal(path)
         journal.record("cell-a", _metrics(), _records())
-        journal.record("cell-b", _metrics(), _records())  # batch fsynced here
+        journal.record("cell-b", _metrics(), _records())
         journal.record("cell-c", _metrics(), _records())
-        journal._handle.flush()
         # Tear exactly at the final record's first byte: clean loss.
         lines = path.read_bytes().splitlines(keepends=True)
         path.write_bytes(b"".join(lines[:-1]))

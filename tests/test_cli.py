@@ -129,13 +129,6 @@ class TestEmitJson:
         assert len(records) >= 10  # the suite plus the baselines
         assert len({r.algorithm for r in records}) == len(records)
 
-    def test_emit_json_overrides_env_toggle(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_OBS", "0")
-        out = tmp_path / "out.jsonl"
-        assert main(["--algorithm", "btc", "--nodes", "80",
-                     "--emit-json", str(out), "--quiet"]) == 0
-        assert len(load_records(out)) == 1  # explicit flag beats the env var
-
     def test_trace_out_writes_chrome_trace(self, tmp_path, capsys):
         from repro.obs.tracing import validate_chrome_trace
 

@@ -24,7 +24,7 @@ from repro.obs.bench import build_bench_summary
 from repro.obs.compare import MetricGate, compare_runs
 from repro.obs.heatmap import page_heatmap, residency_timeline
 from repro.obs.record import SUPPORTED_SCHEMA_VERSIONS, RunRecord, summarise_trace
-from repro.obs.sink import JsonlSink, MemorySink, set_global_sink
+from repro.obs.sink import MemorySink, set_global_sink
 from repro.obs.spans import SpanRecorder
 from repro.obs.tracing import (
     EVENT_NAMES,
@@ -298,27 +298,6 @@ class TestSchemaVersioning:
         data["schema_version"] = max(SUPPORTED_SCHEMA_VERSIONS) + 1
         with pytest.raises(ValueError, match="schema version"):
             RunRecord.from_dict(data)
-
-
-class TestBatchedSink:
-    def test_flush_every_batches_but_loses_nothing_on_close(self, tmp_path):
-        path = tmp_path / "out.jsonl"
-        sink = JsonlSink(path, enabled=True, flush_every=3)
-        record = self._record()
-        for _ in range(5):
-            sink.emit(record)
-        sink.close()
-        assert len(path.read_text().splitlines()) == 5
-
-    def test_flush_every_must_be_positive(self, tmp_path):
-        with pytest.raises(ValueError, match="flush_every"):
-            JsonlSink(tmp_path / "x.jsonl", enabled=True, flush_every=0)
-
-    def _record(self):
-        result = make_algorithm("btc").run(
-            build_graph("G9", seed=0, scale=16), Query.full(), SYSTEM
-        )
-        return RunRecord.from_result(result, workload={"family": "G9"})
 
 
 class TestRepsAndNoiseGate:
