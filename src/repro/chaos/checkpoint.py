@@ -12,9 +12,10 @@ Crash safety: the journal is a :class:`~repro.obs.sink.RecordFile`, so
 each line is written whole, flushed, and fsynced before the engine
 moves on, and the journal never holds a half-cell; at worst the final
 line is truncated mid-write, which loading tolerates (with a warning)
-by discarding it.  A malformed line anywhere else -- including one of
-another :data:`JOURNAL_SCHEMA_VERSION` or with a wrong-typed field --
-raises :class:`~repro.errors.RecordFileError` naming ``file:line``.
+by discarding it.  Any other malformed line -- including a whole one,
+last or not, of another :data:`JOURNAL_SCHEMA_VERSION` or with a
+wrong-typed field -- raises :class:`~repro.errors.RecordFileError`
+naming ``file:line``.
 
 Resuming with the same journal replays each journaled cell -- the
 records go back out to the sinks in their canonical order and the

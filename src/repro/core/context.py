@@ -93,27 +93,12 @@ class ExecutionContext:
         self.max_level: int = 0
         """Maximum node level of the magic graph."""
 
-    # -- engine component views (read-only conveniences) ---------------------
+    # -- engine component views ----------------------------------------------
 
     @property
     def store(self):
         """The engine's main successor-list store."""
         return self.engine.store
-
-    @property
-    def pool(self):
-        """The paged engine's buffer pool (None under the fast engine)."""
-        return getattr(self.engine, "pool", None)
-
-    @property
-    def relation(self):
-        """The paged engine's arc relation (None under the fast engine)."""
-        return getattr(self.engine, "relation", None)
-
-    @property
-    def inverse_relation(self):
-        """The paged engine's inverse relation, when materialised."""
-        return getattr(self.engine, "inverse_relation", None)
 
     # -- phase bookkeeping -------------------------------------------------
 

@@ -43,11 +43,11 @@ class RecordFileError(ReproError, ValueError):
     Raised by :meth:`repro.obs.sink.RecordFile.read` -- behind
     :func:`repro.obs.compare.load_records` and
     :class:`repro.chaos.checkpoint.SweepJournal` -- with ``file:line``
-    in the message, for any line but the last (a damaged final line is
-    the crash-truncation signature and is discarded with a warning).
-    A line is malformed when it is not UTF-8, not JSON, or a field has
-    the wrong JSON type or schema version.  Also a :class:`ValueError`,
-    like :class:`IngestError`.
+    in the message, for any malformed line but a final one that does
+    not parse (the crash-truncation signature, discarded with a
+    warning).  A line is malformed when it is not UTF-8, not JSON, or a
+    field has the wrong JSON type or schema version, or is a non-finite
+    number.  Also a :class:`ValueError`, like :class:`IngestError`.
     """
 
 

@@ -15,7 +15,6 @@ from repro.experiments.parallel import Cell, run_cells
 from repro.experiments.queries import QuerySpec
 from repro.graphs.analysis import profile_graph
 from repro.graphs.datasets import GRAPH_FAMILIES
-from repro.metrics.report import format_table
 
 
 def table2(profile: ScaleProfile | str = "default") -> list[dict[str, object]]:
@@ -122,13 +121,3 @@ def table4(
         rows.append(row)
     rows.sort(key=lambda row: row["W"])
     return rows
-
-
-def render_tables(profile: ScaleProfile | str = "default") -> str:
-    """Render Tables 2-4 as text (used by ``run_all`` and the benches)."""
-    parts = [
-        format_table(table2(profile), title="Table 2. Graph parameters"),
-        format_table(table3(profile), title="Table 3. I/O and CPU cost of BTC (G6, CTC)"),
-        format_table(table4(profile), title="Table 4. JKB2 vs BTC for PTC queries (by width)"),
-    ]
-    return "\n\n".join(parts)

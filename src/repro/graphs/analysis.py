@@ -131,18 +131,6 @@ class GraphProfile:
     avg_irredundant_locality: float
     closure_size: int
 
-    def as_row(self) -> dict[str, float | int]:
-        """The profile as a Table 2 row (rounded like the paper's)."""
-        return {
-            "arcs": self.num_arcs,
-            "max_level": self.max_level,
-            "H": round(self.height),
-            "W": round(self.width),
-            "avg_locality": round(self.avg_arc_locality),
-            "avg_irredundant_locality": round(self.avg_irredundant_locality),
-            "closure_size": self.closure_size,
-        }
-
 
 def profile_graph(
     graph: Digraph,

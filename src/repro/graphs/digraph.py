@@ -11,9 +11,9 @@ internal list to alias and mutate by accident.
 This is deliberately minimal: the heavy machinery (paged storage,
 buffer management) lives in :mod:`repro.storage`; :class:`Digraph` is
 only the logical graph handed to the generator, the analysis routines
-and the algorithms.  Incremental construction goes through
-:class:`DigraphBuilder` (bulk, bounded-memory) or the compatibility
-:meth:`Digraph.add_arc` overlay (small graphs, tests).
+and the algorithms.  A built graph never changes: graphs are built by
+:class:`DigraphBuilder` (bulk, bounded-memory), :meth:`Digraph.from_arcs`
+or :func:`graph_from_columns`, each of which freezes one CSR.
 """
 
 from __future__ import annotations
@@ -90,14 +90,13 @@ class Digraph:
     input relations (duplicate tuples produced by the graph generation
     routine were eliminated, Section 5.3, footnote 1).
 
-    The arc store is a frozen CSR; :meth:`add_arc` is supported as a
-    *pending overlay* that is merged back into the CSR lazily on the
-    next read, so test-style interleaved construction keeps working
-    while bulk construction (:class:`DigraphBuilder`,
-    :meth:`from_arcs`) pays exactly one array build.
+    The arc store is a frozen CSR and no method changes it, so one
+    graph may be shared by every run, cache and relation that names it.
+    ``Digraph(n)`` is the edgeless graph; graphs with arcs are built by
+    :class:`DigraphBuilder` or :meth:`from_arcs`.
     """
 
-    __slots__ = ("_offsets", "_targets", "_mv", "_rev", "_pending", "_arc_count")
+    __slots__ = ("_offsets", "_targets", "_mv", "_rev")
 
     def __init__(self, num_nodes: int) -> None:
         if num_nodes < 0:
@@ -106,8 +105,6 @@ class Digraph:
         self._targets = _EMPTY_TARGETS
         self._mv = memoryview(self._targets).toreadonly()
         self._rev: tuple[array, array] | None = None
-        self._pending: set[tuple[int, int]] = set()
-        self._arc_count = 0
 
     # -- construction ------------------------------------------------------
 
@@ -134,20 +131,7 @@ class Digraph:
         graph._targets = targets
         graph._mv = memoryview(targets).toreadonly()
         graph._rev = None
-        graph._pending = set()
-        graph._arc_count = len(targets)
         return graph
-
-    def add_arc(self, src: int, dst: int) -> bool:
-        """Add the arc (src, dst); return ``False`` if already present."""
-        self._check(src)
-        self._check(dst)
-        if (src, dst) in self._pending or self._sealed_has(src, dst):
-            return False
-        self._pending.add((src, dst))
-        self._arc_count += 1
-        self._rev = None
-        return True
 
     # -- accessors -----------------------------------------------------------
 
@@ -159,18 +143,16 @@ class Digraph:
     @property
     def num_arcs(self) -> int:
         """Number of arcs (``|G|`` in the paper)."""
-        return self._arc_count
+        return len(self._targets)
 
     @property
     def csr_offsets(self) -> memoryview:
-        """Read-only row-offset array of the sealed CSR (length ``n + 1``)."""
-        self._seal()
+        """Read-only row-offset array of the CSR (length ``n + 1``)."""
         return memoryview(self._offsets).toreadonly()
 
     @property
     def csr_targets(self) -> memoryview:
-        """Read-only arc-target array of the sealed CSR (length ``m``)."""
-        self._seal()
+        """Read-only arc-target array of the CSR (length ``m``)."""
         return self._mv
 
     def successors(self, node: int) -> ArcView:
@@ -180,7 +162,6 @@ class Digraph:
         directly and is structurally immutable.
         """
         self._check(node)
-        self._seal()
         return ArcView(self._mv[self._offsets[node] : self._offsets[node + 1]])
 
     def predecessors(self, node: int) -> ArcView:
@@ -192,7 +173,6 @@ class Digraph:
     def out_degree(self, node: int) -> int:
         """Number of immediate successors of ``node``."""
         self._check(node)
-        self._seal()
         return self._offsets[node + 1] - self._offsets[node]
 
     def in_degree(self, node: int) -> int:
@@ -203,7 +183,6 @@ class Digraph:
 
     def arcs(self) -> Iterator[tuple[int, int]]:
         """Iterate over all arcs in (source, destination) order."""
-        self._seal()
         offsets, targets = self._offsets, self._targets
         for src in range(self.num_nodes):
             for position in range(offsets[src], offsets[src + 1]):
@@ -221,7 +200,6 @@ class Digraph:
         that only *read* adjacency should prefer
         :meth:`adjacency_rows`, which skips the copies.
         """
-        self._seal()
         offsets, targets = self._offsets, self._targets
         return {
             node: targets[offsets[node] : offsets[node + 1]].tolist()
@@ -235,7 +213,6 @@ class Digraph:
         per-node list is materialised.  Callers that mutate adjacency
         (only BJ does) must use :meth:`adjacency_lists` instead.
         """
-        self._seal()
         offsets, mv = self._offsets, self._mv
         return {
             node: ArcView(mv[offsets[node] : offsets[node + 1]])
@@ -246,7 +223,15 @@ class Digraph:
         """Whether the arc (src, dst) is present."""
         self._check(src)
         self._check(dst)
-        return (src, dst) in self._pending or self._sealed_has(src, dst)
+        targets = self._targets
+        lo, hi = self._offsets[src], self._offsets[src + 1]
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if targets[mid] < dst:
+                lo = mid + 1
+            else:
+                hi = mid
+        return lo < self._offsets[src + 1] and targets[lo] == dst
 
     def reverse(self) -> "Digraph":
         """A new graph with every arc reversed."""
@@ -263,7 +248,6 @@ class Digraph:
         keep = set(nodes)
         for node in keep:
             self._check(node)
-        self._seal()
         offsets, targets = self._offsets, self._targets
         builder = DigraphBuilder(self.num_nodes)
         for src in keep:
@@ -276,12 +260,9 @@ class Digraph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Digraph):
             return NotImplemented
-        self._seal()
-        other._seal()
         return self._offsets == other._offsets and self._targets == other._targets
 
     def __reduce__(self) -> tuple[Any, ...]:
-        self._seal()
         return (Digraph._from_csr, (self.num_nodes, self._offsets, self._targets))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -295,63 +276,12 @@ class Digraph:
                 f"node {node} outside the graph's range 0..{len(self._offsets) - 2}"
             )
 
-    def _sealed_has(self, src: int, dst: int) -> bool:
-        targets = self._targets
-        lo, hi = self._offsets[src], self._offsets[src + 1]
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if targets[mid] < dst:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo < self._offsets[src + 1] and targets[lo] == dst
-
-    def _seal(self) -> None:
-        """Merge the pending-arc overlay into fresh CSR arrays.
-
-        A fresh allocation (never ``array.extend``) is mandatory: live
-        :class:`ArcView` handles hold buffer exports over the old
-        targets array, and resizing an exported ``array`` raises
-        ``BufferError``.  Old views stay valid over the old arrays.
-        """
-        if not self._pending:
-            return
-        pending = sorted(self._pending)
-        num_nodes = self.num_nodes
-        old_offsets, old_targets = self._offsets, self._targets
-        new_offsets = array("q", bytes(8 * (num_nodes + 1)))
-        new_targets = array("q", bytes(8 * (len(old_targets) + len(pending))))
-        out = 0
-        take = 0  # cursor into the sorted pending arcs
-        for node in range(num_nodes):
-            position = old_offsets[node]
-            end = old_offsets[node + 1]
-            while take < len(pending) and pending[take][0] == node:
-                dst = pending[take][1]
-                while position < end and old_targets[position] < dst:
-                    new_targets[out] = old_targets[position]
-                    position += 1
-                    out += 1
-                new_targets[out] = dst
-                out += 1
-                take += 1
-            while position < end:
-                new_targets[out] = old_targets[position]
-                position += 1
-                out += 1
-            new_offsets[node + 1] = out
-        self._offsets = new_offsets
-        self._targets = new_targets
-        self._mv = memoryview(new_targets).toreadonly()
-        self._pending = set()
-
     def _reverse_arrays(self) -> tuple[array, array]:
         """The reverse CSR (predecessor rows), built once and cached.
 
         A counting sort over the forward arcs: scattering targets in
         (source asc, target asc) order leaves every reverse row sorted.
         """
-        self._seal()
         if self._rev is None:
             num_nodes = self.num_nodes
             offsets, targets = self._offsets, self._targets
@@ -382,7 +312,7 @@ class DigraphBuilder:
     target) -- 16 bytes per arc, no per-node Python lists -- and
     :meth:`freeze` counting-sorts them into the final CSR, sorting and
     de-duplicating each row.  With a declared node count, out-of-range
-    endpoints are rejected exactly like ``Digraph.add_arc``; without
+    endpoints raise :class:`~repro.errors.InvalidNodeError`; without
     one the node space grows to ``max endpoint + 1`` (use
     :meth:`ensure_node` to widen it past the arcs, e.g. for isolated
     trailing nodes).

@@ -42,11 +42,10 @@ def load_records(source: RecordSource) -> list[RunRecord]:
     """Read run records from a JSONL file (or pass a list through).
 
     The file is read through :class:`~repro.obs.sink.RecordFile`, each
-    line decoded by :meth:`RunRecord.from_dict`: a malformed *final*
-    line -- a truncated one is the signature a crash mid-append leaves
-    behind -- is discarded with a warning, and a malformed line
-    anywhere else raises :class:`~repro.errors.RecordFileError` naming
-    ``file:line``.
+    line decoded by :meth:`RunRecord.from_dict`: a *final* line that
+    does not parse -- the signature a crash mid-append leaves behind --
+    is discarded with a warning, and any other malformed line raises
+    :class:`~repro.errors.RecordFileError` naming ``file:line``.
     """
     if isinstance(source, list):
         return source

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any
@@ -71,10 +72,14 @@ def check_type(name: str, value: Any,
     """Raise :class:`TypeError` unless ``value`` is of ``expected`` type.
 
     A bool never passes: JSON ``true`` is neither a number nor any other
-    type a record or journal field holds.
+    type a record or journal field holds.  A number must be finite
+    (:class:`ValueError` otherwise): ``json.loads`` accepts ``NaN`` and
+    ``Infinity``, no writer emits them, and no gate can compare them.
     """
     if isinstance(value, bool) or not isinstance(value, expected):
         raise TypeError(f"{name} has the wrong JSON type ({type(value).__name__})")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"{name} is not a finite number ({value})")
 
 
 def io_stats_dict(io: IoStats) -> dict[str, Any]:

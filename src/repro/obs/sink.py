@@ -52,11 +52,11 @@ class RecordFile:
     **Reading.**  :meth:`read` decodes each line on its own, from
     bytes, with the caller's ``decode`` function, which checks every
     field's type.  A line that is not UTF-8, not JSON (including JSON
-    nested too deeply to parse) or refused by ``decode`` is malformed.
-    A malformed *final* line is the signature of a crash mid-append and
-    is discarded with a warning; a malformed line anywhere else is a
-    damaged file and raises :class:`~repro.errors.RecordFileError`
-    naming ``file:line``.
+    nested too deeply to parse) or refused by ``decode`` is malformed
+    and raises :class:`~repro.errors.RecordFileError` naming
+    ``file:line``, with one exception: a *final* line that does not
+    parse is the signature of a crash mid-append and is discarded with
+    a warning.  A whole line that parses is never taken for a cut one.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -75,7 +75,8 @@ class RecordFile:
             self._pid = os.getpid()
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._handle = self.path.open("a")
-        self._handle.write(json.dumps(obj, separators=(",", ":"), sort_keys=True) + "\n")
+        line = json.dumps(obj, separators=(",", ":"), sort_keys=True, allow_nan=False)
+        self._handle.write(line + "\n")
         self._make_durable(self._handle)
 
     @staticmethod
@@ -108,8 +109,8 @@ class RecordFile:
             if not line.strip():
                 continue
             try:
-                decoded.append(decode(json.loads(line.decode("utf-8"))))
-            except (ValueError, TypeError, RecursionError) as exc:
+                obj = json.loads(line.decode("utf-8"))
+            except (ValueError, RecursionError) as exc:
                 if number == len(lines):
                     print(
                         f"warning: {self.path}:{number}: discarding truncated "
@@ -117,6 +118,10 @@ class RecordFile:
                         file=sys.stderr,
                     )
                     continue
+                raise RecordFileError(f"{self.path}:{number}: {refusal}: {exc}") from exc
+            try:
+                decoded.append(decode(obj))
+            except (ValueError, TypeError) as exc:
                 raise RecordFileError(f"{self.path}:{number}: {refusal}: {exc}") from exc
         return decoded
 

@@ -7,11 +7,11 @@ count, total, min and max duration -- instead of storing one object per
 entry, so instrumenting a hot path (every simulated page I/O) stays
 cheap and the serialised form stays small.
 
-Instrumentation is strictly opt-in.  When no recorder is supplied (or a
-recorder is disabled) :func:`span` returns a shared no-op context
-manager, so the cost of an un-instrumented call site is one ``None``
-check.  Nothing in this module touches the simulator's cost counters:
-spans measure wall-clock time only, and enabling them cannot change any
+Instrumentation is strictly opt-in.  When no recorder is supplied
+:func:`span` returns a shared no-op context manager, so the cost of an
+un-instrumented call site is one ``None`` check.  Nothing in this
+module touches the simulator's cost counters: spans measure wall-clock
+time only, and enabling them cannot change any
 :class:`~repro.metrics.counters.MetricSet` value.
 
 Usage::
@@ -65,7 +65,7 @@ class SpanStats:
 
 
 class _NullSpan:
-    """Shared no-op context manager returned when spans are disabled."""
+    """Shared no-op context manager returned when no recorder is attached."""
 
     __slots__ = ()
 
@@ -103,24 +103,18 @@ class _SpanHandle:
 class SpanRecorder:
     """Collects nested span timings, aggregated by path.
 
-    ``enabled=False`` turns every :meth:`span` into the shared no-op
-    context manager, making an attached-but-disabled recorder free.
-
     When ``collector`` is attached, every span open/close additionally
     emits a ``span.begin``/``span.end`` trace event (the span *name*,
     not the full path, travels in the event's ``detail``), which is how
     phase waterfalls reach the Chrome trace and the HTML report.
     """
 
-    enabled: bool = True
     collector: "TraceCollector | None" = None
     _stack: list[str] = field(default_factory=list)
     _stats: dict[str, SpanStats] = field(default_factory=dict)
 
-    def span(self, name: str) -> _SpanHandle | _NullSpan:
+    def span(self, name: str) -> _SpanHandle:
         """Open a (possibly nested) span named ``name``."""
-        if not self.enabled:
-            return NULL_SPAN
         return _SpanHandle(self, name)
 
     # -- bookkeeping used by the handles -----------------------------------
@@ -173,6 +167,6 @@ def span(name: str, recorder: SpanRecorder | None) -> _SpanHandle | _NullSpan:
         with span("restructure", recorder):
             ...
     """
-    if recorder is None or not recorder.enabled:
+    if recorder is None:
         return NULL_SPAN
     return _SpanHandle(recorder, name)

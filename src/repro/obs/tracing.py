@@ -205,10 +205,6 @@ class TraceCollector:
         """Event counts by name (golden-test fodder)."""
         return Counter(record.name for record in self._events)
 
-    def to_chrome(self) -> dict[str, Any]:
-        """This collector alone as a Chrome trace-event payload."""
-        return chrome_trace([(self.label or "run", self.events)])
-
 
 # ---------------------------------------------------------------------------
 # Chrome trace-event (Perfetto-compatible) serialisation

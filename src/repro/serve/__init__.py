@@ -24,7 +24,7 @@ Submodules:
 
 from repro.serve.breaker import BreakerState, CircuitBreaker
 from repro.serve.http import ServeClient, ServeServer
-from repro.serve.retry import BackoffPolicy, retry_call
+from repro.serve.retry import BackoffPolicy
 from repro.serve.service import (
     DeadlineExceededError,
     IndexUnavailableError,
@@ -48,5 +48,4 @@ __all__ = [
     "ServeConfig",
     "ServeServer",
     "ServeTelemetry",
-    "retry_call",
 ]

@@ -1,10 +1,10 @@
-"""Deterministic jittered-exponential-backoff retry, shared repo-wide.
+"""Deterministic jittered-exponential-backoff delays, shared repo-wide.
 
-Two callers need the exact same policy: the parallel experiment
-engine's unit retries (:mod:`repro.experiments.parallel`, where the
-inline implementation originally lived) and the serve layer's index
-(re)build loop (:mod:`repro.serve.service`).  Extracting it here keeps
-one tested implementation of the delay formula::
+Two retry loops use the exact same policy: the parallel experiment
+engine's unit retries (:mod:`repro.experiments.parallel`) and the serve
+layer's async index (re)build loop (:mod:`repro.serve.service`), which
+checks its circuit breaker between attempts.  Each loop is its own; what
+they share is one tested implementation of the delay formula::
 
     delay(attempt) = base * 2**(attempt - 2) * (0.5 + rng.random())
 
@@ -19,17 +19,12 @@ jitter, so arming retries never perturbs another consumer's stream).
 from __future__ import annotations
 
 import random
-import time
-from collections.abc import Callable
-from typing import TypeVar
 
 DEFAULT_BACKOFF_BASE = 0.05
 """Base delay (seconds) of the jittered exponential retry backoff."""
 
 DEFAULT_BACKOFF_SEED = 0x5EED
 """Historical fixed seed of the experiment engine's jitter stream."""
-
-T = TypeVar("T")
 
 
 class BackoffPolicy:
@@ -64,36 +59,3 @@ class BackoffPolicy:
         if self.max_delay is not None:
             delay = min(delay, self.max_delay)
         return delay
-
-
-def retry_call(
-    fn: Callable[[], T],
-    *,
-    retries: int,
-    policy: BackoffPolicy,
-    retry_on: type[BaseException] | tuple[type[BaseException], ...] = Exception,
-    sleep: Callable[[float], None] = time.sleep,
-    on_retry: Callable[[int, BaseException], None] | None = None,
-) -> T:
-    """Call ``fn`` with up to ``retries`` retried attempts.
-
-    Sleeps ``policy.delay(attempt)`` before each retry; ``on_retry``
-    (if given) observes every failed-then-retried attempt.  The final
-    failure propagates unchanged, so callers keep the real exception.
-    ``sleep`` is injectable for tests (and for event loops that must
-    not block: the serve layer passes a collector and awaits the delays
-    itself).
-    """
-    if retries < 0:
-        raise ValueError(f"retries must be >= 0, got {retries}")
-    attempt = 1
-    while True:
-        try:
-            return fn()
-        except retry_on as exc:
-            if attempt > retries:
-                raise
-            attempt += 1
-            if on_retry is not None:
-                on_retry(attempt, exc)
-            sleep(policy.delay(attempt))

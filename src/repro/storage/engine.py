@@ -322,14 +322,6 @@ class StorageEngine(ABC):
     def audit(self, auditor: "InvariantAuditor") -> None:
         """Run the auditor's substrate checks over this engine's state."""
 
-    @abstractmethod
-    def snapshot(self) -> dict[str, Any]:
-        """A JSON-safe summary of the engine's current storage state."""
-
-    @abstractmethod
-    def reset(self) -> None:
-        """Discard all run state (lists, resident pages); keep the input."""
-
 
 def make_engine(
     system: Any,

@@ -69,7 +69,6 @@ class FastListStore(ListStore):
     def __init__(self, block_capacity: int = BLOCK_CAPACITY, capacity: int = 0) -> None:
         self.block_capacity = block_capacity
         self._lengths = array("q", [_ABSENT]) * capacity
-        self._count = 0
 
     def __contains__(self, node: int) -> bool:
         lengths = self._lengths
@@ -89,7 +88,6 @@ class FastListStore(ListStore):
         elif self._lengths[node] != _ABSENT:
             raise StorageError(f"list for node {node} already exists")
         self._lengths[node] = initial_entries
-        self._count += 1
 
     def read_list(self, node: int) -> int:
         # The existence check is inlined (no _require call): these are
@@ -123,18 +121,12 @@ class FastListStore(ListStore):
         lengths = self._lengths
         if 0 <= node < len(lengths) and lengths[node] != _ABSENT:
             lengths[node] = _ABSENT
-            self._count -= 1
 
     def length(self, node: int) -> int:
         lengths = self._lengths
         if 0 <= node < len(lengths) and lengths[node] != _ABSENT:
             return lengths[node]
         return 0
-
-    @property
-    def list_count(self) -> int:
-        """How many lists currently exist."""
-        return self._count
 
     def pages_of(self, node: int) -> tuple[PageId, ...]:
         return ()  # shared empty tuple: no layout, no allocation
@@ -261,12 +253,3 @@ class FastEngine(StorageEngine):
 
     def audit(self, auditor: "InvariantAuditor") -> None:
         """No paged substrate to inspect: auditing is a no-op here."""
-
-    def snapshot(self) -> dict[str, Any]:
-        return {"engine": self.name, "lists": self.store.list_count}
-
-    def reset(self) -> None:
-        self.store = FastListStore(
-            block_capacity=self.system.block_capacity,
-            capacity=self.graph.num_nodes,
-        )

@@ -73,10 +73,6 @@ class IoStats:
         """Physical reads of pages of the given kind."""
         return self.reads[kind]
 
-    def writes_of(self, kind: PageKind) -> int:
-        """Physical writes of pages of the given kind."""
-        return self.writes[kind]
-
     @property
     def total_reads(self) -> int:
         """Physical page reads across all phases."""

@@ -161,26 +161,3 @@ class PagedEngine(StorageEngine):
         auditor.check_relation(self.relation)
         if self.inverse_relation is not None:
             auditor.check_relation(self.inverse_relation)
-
-    def snapshot(self) -> dict[str, Any]:
-        return {
-            "engine": self.name,
-            "resident_pages": len(self.pool),
-            "pinned_pages": self.pool.pinned_count,
-            "store_pages": self.store.total_pages,
-            "store_splits": self.store.splits,
-            "store_relocations": self.store.relocations,
-            "relation_pages": self.relation.num_pages,
-        }
-
-    def reset(self) -> None:
-        """Drop all resident and list state; the input relation stays."""
-        self.pool.unpin_all()
-        for page in list(self.pool._frames):
-            self.pool.evict(page)
-        self.store = SuccessorListStore(
-            self.pool,
-            policy=self.system.list_policy,
-            blocks_per_page=self.system.blocks_per_page,
-            block_capacity=self.system.block_capacity,
-        )

@@ -146,7 +146,7 @@ class TestComputeTreeInternals:
         algorithm = ComputeTreeAlgorithm(dual_representation=False)
         ctx = restructured(algorithm, medium_dag, Query.ptc([0]))
         assert ctx.metrics.io.reads_of(PageKind.INVERSE_RELATION) == 0
-        assert ctx.inverse_relation is None
+        assert ctx.engine.inverse_relation is None
 
 
 class TestBjInternals:

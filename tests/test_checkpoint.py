@@ -27,7 +27,7 @@ def _records():
                       metrics={"total_io": 100})]
 
 
-# Well-formed JSON that is not a journaled cell.
+# Lines that parse as JSON but are not a journaled cell.
 MALFORMED = {
     "line-not-an-object": lambda cell: [cell],
     "metrics-not-an-object": lambda cell: {**cell, "metrics": [1]},
@@ -36,6 +36,8 @@ MALFORMED = {
     "key-not-a-string": lambda cell: {**cell, "key": []},
     "metrics-value-not-a-number": lambda cell: {
         **cell, "metrics": {name: "x" for name in cell["metrics"]}},
+    "metrics-value-nan": lambda cell: {
+        **cell, "metrics": {**cell["metrics"], "total_io": float("nan")}},
     "version-mismatch": lambda cell: {**cell, "schema_version": 99},
 }
 
@@ -103,12 +105,14 @@ class TestJournal:
             SweepJournal(path)
 
     @pytest.mark.parametrize("damage", sorted(MALFORMED))
-    def test_malformed_final_line_is_discarded(self, tmp_path, capsys, damage):
+    def test_malformed_final_line_is_discarded(self, tmp_path, damage):
+        # Only a final line that does not parse is discarded as cut
+        # (test_truncated_final_line_tolerated); a whole one is refused.
         path = tmp_path / "sweep.journal"
         _journal_with_damaged_line(path, 1, damage)
-        survivor = SweepJournal(path)
-        assert f"warning: {path}:2: discarding" in capsys.readouterr().err
-        assert "cell-a" in survivor and "cell-b" not in survivor
+        with pytest.raises(RecordFileError,
+                           match=re.escape(f"{path}:2: corrupt checkpoint line")):
+            SweepJournal(path)
 
     def test_resume_from_a_malformed_journal_exits_two(self, tmp_path, monkeypatch,
                                                        capsys):
@@ -123,6 +127,21 @@ class TestJournal:
             assert "error: RecordFileError: sweep.journal:1: corrupt checkpoint line" in err
             assert "Traceback" not in err
             (tmp_path / "sweep.journal").unlink()
+
+    def test_resume_refuses_a_one_line_stale_journal(self, tmp_path, monkeypatch,
+                                                     capsys):
+        monkeypatch.chdir(tmp_path)
+        with SweepJournal(tmp_path / "sweep.journal") as journal:
+            journal.record("cell-a", _metrics(), _records())
+        cell = json.loads((tmp_path / "sweep.journal").read_text())
+        (tmp_path / "sweep.journal").write_text(
+            json.dumps({**cell, "schema_version": 0}) + "\n")
+        assert main(["--profile", "smoke", "--only", "figure6",
+                     "--resume", "sweep.journal", "--no-file"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "error: RecordFileError: sweep.journal:1: corrupt checkpoint line" in err
+        assert "Traceback" not in err
 
     def test_torn_final_checkpoint_record_under_batching(self, tmp_path, capsys):
         """A kill that tears the *final* record keeps every earlier one.

@@ -175,6 +175,8 @@ class TestProfileCommand:
 
 
 class TestCompareCommand:
+    BASELINE = Path(__file__).parent / "fixtures" / "compare" / "baseline.jsonl"
+
     def _emit(self, tmp_path, name, scale="8"):
         path = tmp_path / name
         assert main(["--algorithm", "btc", "--family", "G2", "--scale", scale,
@@ -218,11 +220,31 @@ class TestCompareCommand:
         err = capsys.readouterr().err
         assert f"error: {middle}:1: not a RunRecord line" in err
         assert "Traceback" not in err
-        # A final such line is the truncation case: discarded, with a warning.
+        # A whole final line that parses is not a cut one: refused too.
         final = tmp_path / "final.jsonl"
         final.write_text(good + "[1,2]\n")
-        assert main(["compare", str(final), str(final)]) == 0
-        assert f"warning: {final}:2: discarding" in capsys.readouterr().err
+        assert main(["compare", str(final), str(final)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {final}:2: not a RunRecord line" in err
+        assert "Traceback" not in err
+
+    def test_nan_candidate_exits_two(self, capsys):
+        candidate = self.BASELINE.with_name("non_finite.jsonl")
+        assert main(["compare", str(self.BASELINE), str(candidate)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {candidate}:1: not a RunRecord line" in err
+        assert "Traceback" not in err
+
+    def test_infinity_baseline_exits_two(self, tmp_path, capsys):
+        lines = self.BASELINE.read_text().splitlines()
+        record = json.loads(lines[0])
+        record["metrics"]["total_io"] = float("inf")
+        baseline = tmp_path / "infinite.jsonl"
+        baseline.write_text("\n".join([json.dumps(record), *lines[1:]]) + "\n")
+        assert main(["compare", str(baseline), str(self.BASELINE)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {baseline}:1: not a RunRecord line" in err
+        assert "Traceback" not in err
 
 
 class TestChainsProbes:

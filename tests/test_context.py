@@ -26,7 +26,7 @@ class TestScopeIdentification:
     def test_full_query_scans_the_relation(self, medium_dag):
         ctx = restructured(medium_dag, Query.full())
         assert ctx.in_scope == set(medium_dag.nodes())
-        expected_pages = ctx.relation.num_pages
+        expected_pages = ctx.engine.relation.num_pages
         assert ctx.metrics.io.reads_of(PageKind.RELATION) == expected_pages
 
     def test_selection_uses_the_index(self, medium_dag):

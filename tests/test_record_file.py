@@ -2,10 +2,11 @@
 
 Both are read through :class:`repro.obs.sink.RecordFile`.  Whatever the
 bytes, reading one ends in one of three outcomes: the parsed file, the
-file without its final line (dropped with a warning), or a
-``RecordFileError`` naming ``file:line``.  Nothing else is raised, and
-every value a reader computes with -- a gated record metric, an
-``AveragedMetrics`` field -- loads with its type.
+file without a final line that does not parse (dropped with a warning),
+or a ``RecordFileError`` naming ``file:line``.  Nothing else is raised,
+and every value a reader computes with -- a gated record metric, an
+``AveragedMetrics`` field -- loads with its type, and as a finite number
+where it is one.
 
 Two layers prove it: a hypothesis suite that mutates the bytes of a
 record file and of a journal (truncation, byte flips, non-UTF-8 bytes,
@@ -16,6 +17,7 @@ compare``, ``repro obs report`` and ``run_all --resume``.
 
 import dataclasses
 import json
+import math
 import re
 from pathlib import Path
 
@@ -67,7 +69,7 @@ def sweep_lines(tmp_path_factory):
 
 # -- byte-level fuzzing --------------------------------------------------------
 
-RETYPED = (None, True, 3, 1.5, "x", [], {}, [1], {"a": 1})
+RETYPED = (None, True, 3, 1.5, math.nan, math.inf, "x", [], {}, [1], {"a": 1})
 RECORD_PATHS = (
     ("algorithm",), ("workload",), ("query",), ("system",), ("metrics",),
     ("metrics", "total_io"), ("metrics", "cpu_seconds"), ("spans",),
@@ -120,6 +122,15 @@ def mutated(draw, lines, paths):
     return data
 
 
+def _parses(line):
+    """Whether ``line`` decodes as UTF-8 JSON, as a whole line does."""
+    try:
+        json.loads(line.decode("utf-8"))
+    except (ValueError, RecursionError):
+        return False
+    return True
+
+
 def _load(loader, path, data, capsys):
     """Load ``data`` and check it ended in one of the three outcomes.
 
@@ -127,17 +138,20 @@ def _load(loader, path, data, capsys):
     """
     path.write_bytes(data)
     lines = data.splitlines()
+    final_parses = bool(lines) and _parses(lines[-1])
     capsys.readouterr()
     try:
         loaded = loader(path)
     except RecordFileError as exc:
         match = re.match(rf"{re.escape(str(path))}:(\d+): ", str(exc))
         assert match, str(exc)
-        assert int(match.group(1)) < len(lines)  # the final line is dropped
+        # Only a final line that does not parse is dropped as cut.
+        assert int(match.group(1)) < len(lines) or final_parses
         return None
     lines_read = sum(1 for line in lines if line.strip())
     err = capsys.readouterr().err
     if err:
+        assert not final_parses, err
         assert re.fullmatch(
             rf"warning: {re.escape(str(path))}:{len(lines)}: discarding truncated "
             r"final \w+ line \(\w+\)\n", err), err
@@ -147,7 +161,8 @@ def _load(loader, path, data, capsys):
 
 
 def is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
 
 
 def _check_record(record):
@@ -253,6 +268,21 @@ def test_one_retyped_field(command, field, value, tmp_path, capsys, sweep_lines)
         assert "Traceback" not in capsys.readouterr().err
     else:
         _assert_refused(code, path, refusal, capsys)
+
+
+NUMBER_FIELDS = (("wall_seconds",), ("metrics", "total_io"), ("metrics", "cpu_seconds"))
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+@pytest.mark.parametrize("field", NUMBER_FIELDS, ids=".".join)
+@pytest.mark.parametrize("value", (math.nan, math.inf, -math.inf), ids=json.dumps)
+def test_a_non_finite_number_is_refused(command, field, value, tmp_path, capsys,
+                                        sweep_lines):
+    lines = sweep_lines if command == "resume" else RECORD_LINES
+    first = json.loads(lines[0])
+    _retype(first["records"][0] if command == "resume" else first, field, value)
+    code, path, refusal = _run(command, tmp_path, lines, json.dumps(first).encode())
+    _assert_refused(code, path, refusal, capsys)
 
 
 @pytest.mark.parametrize("command", COMMANDS)

@@ -20,11 +20,7 @@ from repro.graphs.generator import generate_dag
 from repro.graphs.toposort import reachable_from
 from repro.serve.breaker import BreakerState, CircuitBreaker
 from repro.serve.http import MAX_HEADER_LINES, MAX_REQUEST_BYTES, ServeClient, ServeServer
-from repro.serve.retry import (
-    DEFAULT_BACKOFF_SEED,
-    BackoffPolicy,
-    retry_call,
-)
+from repro.serve.retry import DEFAULT_BACKOFF_SEED, BackoffPolicy
 from repro.serve.service import (
     IndexUnavailableError,
     InvalidRequestError,
@@ -97,55 +93,6 @@ class TestBackoffPolicy:
             BackoffPolicy(base=-1.0)
         with pytest.raises(ValueError):
             BackoffPolicy(max_delay=-1.0)
-
-
-class TestRetryCall:
-    def test_returns_after_transient_failures(self):
-        calls = []
-        slept = []
-
-        def flaky():
-            calls.append(1)
-            if len(calls) < 3:
-                raise OSError("transient")
-            return "done"
-
-        result = retry_call(
-            flaky, retries=3, policy=BackoffPolicy(base=0.01),
-            sleep=slept.append,
-        )
-        assert result == "done"
-        assert len(calls) == 3
-        assert len(slept) == 2
-
-    def test_exhausted_retries_propagate_the_real_error(self):
-        def doomed():
-            raise ValueError("permanent")
-
-        with pytest.raises(ValueError, match="permanent"):
-            retry_call(doomed, retries=2, policy=BackoffPolicy(base=0),
-                       sleep=lambda _s: None)
-
-    def test_retry_on_filters_exception_types(self):
-        def wrong_kind():
-            raise KeyError("not retryable")
-
-        with pytest.raises(KeyError):
-            retry_call(wrong_kind, retries=5, policy=BackoffPolicy(base=0),
-                       retry_on=OSError, sleep=lambda _s: None)
-
-    def test_on_retry_observes_each_attempt(self):
-        seen = []
-
-        def flaky():
-            if len(seen) < 2:
-                raise OSError("again")
-            return 42
-
-        retry_call(flaky, retries=5, policy=BackoffPolicy(base=0),
-                   sleep=lambda _s: None,
-                   on_retry=lambda attempt, exc: seen.append(attempt))
-        assert seen == [2, 3]
 
 
 # -- circuit breaker ----------------------------------------------------------
