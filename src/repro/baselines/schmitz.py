@@ -31,7 +31,6 @@ from repro.core.result import ClosureResult
 from repro.graphs.digraph import Digraph
 from repro.metrics.counters import MetricSet
 from repro.storage.engine import (
-    CAP_PAGE_COSTS,
     ListStore,
     PageId,
     PageKind,
@@ -151,7 +150,7 @@ class SchmitzAlgorithm:
         successor_bits = {
             node: component_sets[component_of[node]] for node in output_nodes
         }
-        if engine.supports(CAP_PAGE_COSTS):
+        if engine.paged:
             output_pages: set[PageId] = set()
             for node in output_nodes:
                 output_pages.update(store.pages_of(component_of[node]))

@@ -29,7 +29,6 @@ from repro.obs.tracing import (
     TraceCollector,
 )
 from repro.storage.engine import (
-    CAP_PAGE_COSTS,
     TUPLES_PER_PAGE,
     PageId,
     PageKind,
@@ -177,7 +176,7 @@ class SeminaiveAlgorithm:
         metrics.io.phase = Phase.WRITEOUT
         if collector is not None:
             collector.phase = Phase.WRITEOUT.value
-        if engine.supports(CAP_PAGE_COSTS):
+        if engine.paged:
             output_pages: set[PageId] = set()
             for row in rows:
                 output_pages.update(store.pages_of(row))
@@ -213,7 +212,7 @@ class SeminaiveAlgorithm:
                 first_page,
                 detail=f"pages={num_pages} tuples={tuples}",
             )
-        if engine.supports(CAP_PAGE_COSTS):
+        if engine.paged:
             for offset in range(num_pages):
                 engine.create_page(PageKind.DELTA, first_page + offset)
         return first_page + num_pages
@@ -229,7 +228,7 @@ class SeminaiveAlgorithm:
                 end_page - num_pages,
                 detail=f"pages={num_pages} tuples={tuples}",
             )
-        if not engine.supports(CAP_PAGE_COSTS):
+        if not engine.paged:
             return
         for offset in range(num_pages):
             engine.touch_page(PageKind.DELTA, end_page - num_pages + offset)

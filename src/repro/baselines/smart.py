@@ -24,7 +24,6 @@ from repro.core.result import ClosureResult
 from repro.graphs.digraph import Digraph
 from repro.metrics.counters import MetricSet
 from repro.storage.engine import (
-    CAP_PAGE_COSTS,
     TUPLES_PER_PAGE,
     PageId,
     PageKind,
@@ -134,7 +133,7 @@ class SmartAlgorithm:
         )
 
         metrics.io.phase = Phase.WRITEOUT
-        if engine.supports(CAP_PAGE_COSTS):
+        if engine.paged:
             output_pages: set[PageId] = set()
             for row in rows:
                 output_pages.update(store.pages_of(row))
@@ -156,14 +155,14 @@ class SmartAlgorithm:
     @staticmethod
     def _spool(engine: StorageEngine, first_page: int, tuples: int) -> int:
         num_pages = pages_needed(tuples, TUPLES_PER_PAGE)
-        if engine.supports(CAP_PAGE_COSTS):
+        if engine.paged:
             for offset in range(num_pages):
                 engine.create_page(PageKind.DELTA, first_page + offset)
         return first_page + num_pages
 
     @staticmethod
     def _scan(engine: StorageEngine, end_page: int, tuples: int) -> None:
-        if not engine.supports(CAP_PAGE_COSTS):
+        if not engine.paged:
             return
         num_pages = pages_needed(tuples, TUPLES_PER_PAGE)
         for offset in range(num_pages):

@@ -35,7 +35,6 @@ from repro.core.result import ClosureResult
 from repro.graphs.digraph import Digraph
 from repro.metrics.counters import MetricSet
 from repro.storage.engine import (
-    CAP_PAGE_COSTS,
     PAGE_SIZE,
     PageId,
     PageKind,
@@ -69,7 +68,7 @@ class WarrenAlgorithm:
 
         # Engines without a page-cost model skip the per-bit row touches
         # of the inner loop entirely (they would be pure overhead).
-        charged = engine.supports(CAP_PAGE_COSTS)
+        charged = engine.paged
 
         def touch_row(row: int, dirty: bool = False) -> None:
             if not charged:

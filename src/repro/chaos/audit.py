@@ -7,8 +7,9 @@ entries, the paper's 30 x 15 geometry), the clustered layout of the
 input relation, and the monotonicity of every I/O counter.  This module
 turns that trust into checks.
 
-Three modes, selected process-wide (``--audit`` on the CLIs or the
-``REPRO_AUDIT`` environment variable):
+Three modes, selected process-wide by the ``REPRO_AUDIT`` environment
+variable alone (the CLIs' ``--audit`` flag exports it, so worker
+processes see the same mode); a value naming no mode is refused:
 
 * ``off``    -- no auditor is attached at all;
 * ``cheap``  -- the default: counters are checked at every phase
@@ -29,7 +30,7 @@ from __future__ import annotations
 import os
 from typing import TYPE_CHECKING
 
-from repro.errors import InvariantViolation
+from repro.errors import ConfigurationError, InvariantViolation
 
 if TYPE_CHECKING:  # pragma: no cover - typing only (avoids import cycles)
     from repro.core.context import ExecutionContext
@@ -43,42 +44,31 @@ ENV_AUDIT = "REPRO_AUDIT"
 
 AUDIT_MODES = ("off", "cheap", "strict")
 
-_mode: str | None = None  # explicit override; None = fall back to env/default
-
-
-def audit_mode() -> str:
-    """The effective audit mode: explicit setting > REPRO_AUDIT > cheap."""
-    if _mode is not None:
-        return _mode
-    value = os.environ.get(ENV_AUDIT, "").strip().lower()
-    return value if value in AUDIT_MODES else "cheap"
-
 
 def explicit_audit_mode() -> str | None:
-    """The audit mode the user *asked for*, or None if defaulted.
+    """The audit mode ``REPRO_AUDIT`` asks for, or None when it is unset.
 
     ``audit_mode()`` falls back to "cheap" when nothing was requested;
     engines without audit support (see :mod:`repro.storage.fast`) must
     distinguish that implicit default (degrade to counter-only checks)
-    from an explicit ``--audit``/``REPRO_AUDIT`` request (refuse).
+    from an explicit request (refuse).  A value naming no mode raises a
+    :class:`~repro.errors.ConfigurationError` naming the variable, the
+    value and the valid modes -- a typo must not silently run ``cheap``.
     """
-    if _mode is not None:
-        return _mode
     value = os.environ.get(ENV_AUDIT, "").strip().lower()
-    return value if value in AUDIT_MODES else None
-
-
-def set_audit_mode(mode: str | None) -> str | None:
-    """Set (or clear, with ``None``) the process-wide audit mode."""
-    global _mode
-    if mode is not None and mode not in AUDIT_MODES:
+    if not value:
+        return None
+    if value not in AUDIT_MODES:
         valid = ", ".join(AUDIT_MODES)
-        raise InvariantViolation(
-            "audit.mode", f"unknown audit mode {mode!r}; valid modes: {valid}"
+        raise ConfigurationError(
+            f"{ENV_AUDIT}={value!r} names an unknown audit mode; valid modes: {valid}"
         )
-    previous = _mode
-    _mode = mode
-    return previous
+    return value
+
+
+def audit_mode() -> str:
+    """The effective audit mode: ``REPRO_AUDIT``, else cheap."""
+    return explicit_audit_mode() or "cheap"
 
 
 def make_auditor() -> "InvariantAuditor | None":
@@ -270,7 +260,7 @@ class InvariantAuditor:
         """The end-of-run sweep: counters, then the engine's substrate.
 
         The substrate checks are dispatched through the storage
-        engine's capability hook (:meth:`StorageEngine.audit`): the
+        engine's audit hook (:meth:`StorageEngine.audit`): the
         paged engine hands over its pool, store and relations; the fast
         engine has no substrate and contributes nothing beyond the
         counter identities.

@@ -3,11 +3,12 @@
 The paper's conclusions rest on the simulated disk behaving exactly as
 specified; this module exists to injure that substrate *on purpose* and
 check that the system detects the injury instead of silently
-mis-counting.  A :class:`FaultPlan` is armed process-wide (CLI
-``--chaos <spec>`` or the ``REPRO_CHAOS`` environment variable) and the
-instrumented sites -- the buffer pool's physical-read path, the
-successor store's block-write path, and the experiment engine's unit
-boundary -- ask it whether to fire.  With no plan armed the sites cost
+mis-counting.  A :class:`FaultPlan` is armed process-wide from one
+switch, the ``REPRO_CHAOS`` environment variable, which ``--chaos
+<spec>`` exports and :func:`arm_from_env` reads, and the instrumented
+sites -- the buffer pool's physical-read path, the successor store's
+block-write path, and the experiment engine's unit boundary -- ask it
+whether to fire.  With no plan armed the sites cost
 one ``None`` check on a buffer *miss* only; the hit path is untouched.
 
 Fault kinds
@@ -50,10 +51,10 @@ Spec grammar (see ``docs/ROBUSTNESS.md``)::
               | "cancelled-request" | "index-rebuild-crash"
     param   ::= "p=" FLOAT      probability per opportunity (seeded RNG)
               | "after=" INT    fire on the Nth opportunity (1-based)
-              | "times=" INT    max firings (default 1 with after=,
-                                unlimited with p=)
+              | "times=" INT    max firings, >= 1 (default 1 with
+                                after=, unlimited with p=)
               | "ms=" FLOAT     slow-io / slow-handler latency per
-                                firing (default 1.0)
+                                firing, finite and >= 0 (default 1.0)
               | "k=" INT        evict-storm victims (default: all unpinned)
 
 Examples::
@@ -72,6 +73,7 @@ every run.  In multi-process sweeps every worker arms its own plan from
 from __future__ import annotations
 
 import enum
+import math
 import os
 import random
 import zlib
@@ -160,8 +162,14 @@ class FaultRule:
             raise ConfigurationError(
                 f"fault {kind.value!r}: after must be >= 1, got {after}"
             )
-        if ms < 0:
-            raise ConfigurationError(f"fault {kind.value!r}: ms must be >= 0, got {ms}")
+        if times is not None and times < 1:
+            raise ConfigurationError(
+                f"fault {kind.value!r}: times must be >= 1, got {times}"
+            )
+        if not 0.0 <= ms < math.inf:
+            raise ConfigurationError(
+                f"fault {kind.value!r}: ms must be finite and >= 0, got {ms}"
+            )
         if k is not None and k < 1:
             raise ConfigurationError(f"fault {kind.value!r}: k must be >= 1, got {k}")
         self.kind = kind
@@ -327,7 +335,12 @@ def use_fault_plan(plan: FaultPlan | None) -> Iterator[FaultPlan | None]:
 
 
 def arm_from_env() -> FaultPlan | None:
-    """Arm a plan from ``REPRO_CHAOS`` (worker processes call this).
+    """Arm a plan from ``REPRO_CHAOS``, the chaos plane's one switch.
+
+    The ``repro`` run, ``repro serve`` and ``run_all`` call this at
+    start, after exporting ``--chaos``
+    (:func:`repro.experiments.parallel.arm_planes`), and every pool
+    worker calls it in its initialiser.
 
     Returns the armed plan, or ``None`` when the variable is unset or
     empty.  A malformed spec raises :class:`ConfigurationError` -- a

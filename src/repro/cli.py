@@ -54,8 +54,8 @@ from collections.abc import Iterable, Sequence
 from typing import TYPE_CHECKING
 
 from repro.baselines import BASELINE_NAMES
-from repro.chaos.audit import AUDIT_MODES, ENV_AUDIT, set_audit_mode
-from repro.chaos.faults import ENV_CHAOS, FaultPlan, set_fault_plan
+from repro.chaos.audit import AUDIT_MODES
+from repro.chaos.faults import active_plan
 from repro.core.query import SystemConfig
 from repro.core.registry import ALGORITHM_NAMES, make_algorithm
 from repro.graphs.digraph import Digraph
@@ -204,26 +204,17 @@ def _run_command(args: argparse.Namespace) -> int:
     ``error:`` line, the others still print their rows, and the command
     exits 1.
     """
-    from repro.experiments.parallel import ExperimentEngine, Instrument, WorkUnit
+    from repro.experiments.parallel import ExperimentEngine, Instrument, WorkUnit, arm_planes
 
     for flag, value in (("--jobs", args.jobs), ("--reps", args.reps)):
         if value < 1:
             print(f"error: {flag} must be >= 1", file=sys.stderr)
             return 2
-    plan = None
     # No retry: a single query must fail on its first injury.
     with ExperimentEngine(jobs=args.jobs, timeout=args.timeout, retries=0,
                           reps=args.reps) as engine:
         try:
-            if args.chaos:
-                plan = FaultPlan.parse(args.chaos)
-                set_fault_plan(plan)
-                # Worker processes (--jobs > 1) arm their own copy from the
-                # environment in the pool initialiser.
-                os.environ[ENV_CHAOS] = args.chaos
-            if args.audit:
-                set_audit_mode(args.audit)
-                os.environ[ENV_AUDIT] = args.audit
+            plan = arm_planes(args.chaos, args.audit)
             graph_spec, query_spec = _workload_specs(args)
             graph = engine.graph(graph_spec)
             query = query_spec.materialise(graph, seed=args.seed)
@@ -593,12 +584,11 @@ def _serve_parser() -> argparse.ArgumentParser:
 def _serve_command(args: argparse.Namespace) -> int:
     import asyncio
 
+    from repro.experiments.parallel import arm_planes
     from repro.serve.service import ReachabilityService, ServeConfig
 
     try:
-        if args.chaos:
-            set_fault_plan(FaultPlan.parse(args.chaos))
-            os.environ[ENV_CHAOS] = args.chaos
+        arm_planes(args.chaos)
         graph_spec, query_spec = _workload_specs(args)
         graph = graph_spec.build()
         sources = query_spec.draw_sources(graph, seed=args.seed)
@@ -740,7 +730,7 @@ async def _serve_self_check(args: argparse.Namespace, graph: Digraph,
     if wrong or not health_ok or not ready_ok:
         return 1
     # Without chaos armed, every query must have been answered outright.
-    if non_ok and not args.chaos and not os.environ.get(ENV_CHAOS):
+    if non_ok and active_plan() is None:
         return 1
     return 0
 

@@ -36,7 +36,7 @@ from repro.errors import CyclicGraphError, InvalidNodeError
 from repro.graphs.digraph import Digraph
 from repro.obs.spans import SpanRecorder, span
 from repro.obs.tracing import TraceCollector
-from repro.storage.engine import CAP_PAGE_COSTS, PageId
+from repro.storage.engine import PageId
 from repro.storage.iostats import Phase
 
 
@@ -108,7 +108,7 @@ class TwoPhaseAlgorithm(ABC):
         run and its phases; ``collector`` (optional) records structured
         trace events -- every buffer event with full page identity --
         for Chrome-trace export, reports and the run profile (requires
-        an engine with ``CAP_TRACE``).  Both are pure observers: they
+        a paged engine).  Both are pure observers: they
         never change any cost counter, and when omitted the run is
         exactly the un-instrumented execution.
         """
@@ -275,7 +275,7 @@ class TwoPhaseAlgorithm(ABC):
             output_nodes = list(ctx.topo_order)
         else:
             output_nodes = [s for s in ctx.query.sources or () if s in ctx.in_scope]
-        if ctx.engine.supports(CAP_PAGE_COSTS):
+        if ctx.engine.paged:
             output_pages: set[PageId] = set()
             pages_of = ctx.store.pages_of
             for node in output_nodes:

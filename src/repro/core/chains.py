@@ -50,7 +50,7 @@ from repro.graphs.chains import ChainDecomposition, decompose_chains
 from repro.graphs.condensation import condensation
 from repro.graphs.digraph import Digraph
 from repro.metrics.counters import MetricSet
-from repro.storage.engine import CAP_PAGE_COSTS, ListStore, PageId, PageKind
+from repro.storage.engine import ListStore, PageId, PageKind
 
 VECTOR_BLOCK_CAPACITY = 7
 """(chain, position) entries per block: vector entries are twice the
@@ -343,7 +343,7 @@ class _ChainIndexBuilder(ChainsAlgorithm):
         self._vector_store, self.vectors = _build_vectors(ctx, self.deco)
 
     def write_out(self, ctx: ExecutionContext) -> list[int]:
-        if ctx.engine.supports(CAP_PAGE_COSTS):
+        if ctx.engine.paged:
             store = self._vector_store
             assert store is not None  # compute() always ran first
             pages: set[PageId] = set()

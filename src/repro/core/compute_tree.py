@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 from repro.core.base import TwoPhaseAlgorithm
 from repro.core.context import ExecutionContext
-from repro.storage.engine import CAP_PAGE_COSTS, PageId, PageKind
+from repro.storage.engine import PageId, PageKind
 
 
 # A tree node is a plain two-slot list ``[node_id, children]`` rather
@@ -125,7 +125,7 @@ class ComputeTreeAlgorithm(TwoPhaseAlgorithm):
         in_scope = ctx.in_scope
         predecessors: dict[int, list[int]] = {}
         pred_store = ctx.engine.make_list_store(PageKind.PREDECESSOR)
-        charged = ctx.engine.supports(CAP_PAGE_COSTS)
+        charged = ctx.engine.paged
         tuple_io = 0
         for node in ctx.topo_order:
             all_preds = ctx.graph.predecessors(node)
@@ -394,7 +394,7 @@ class ComputeTreeAlgorithm(TwoPhaseAlgorithm):
 
         output_store = ctx.engine.make_list_store(PageKind.OUTPUT)
         output_nodes = [s for s in ctx.query.sources or ctx.topo_order if s in ctx.in_scope]
-        charged = ctx.engine.supports(CAP_PAGE_COSTS)
+        charged = ctx.engine.paged
         output_pages: set[PageId] = set()
         output_tuples = 0
         lists = ctx.lists

@@ -20,7 +20,7 @@ from repro.graphs.digraph import Digraph
 from repro.metrics.counters import MetricSet
 from repro.obs.spans import SpanRecorder
 from repro.obs.tracing import TraceCollector
-from repro.storage.engine import CAP_AUDIT, StorageEngine, make_engine
+from repro.storage.engine import StorageEngine, make_engine
 from repro.storage.iostats import Phase
 
 
@@ -56,12 +56,12 @@ class ExecutionContext:
             auditor=self.auditor,
             collector=collector,
         )
-        if self.auditor is not None and not self.engine.supports(CAP_AUDIT):
+        if self.auditor is not None and not self.engine.paged:
             # An *explicitly* requested audit was already refused by the
             # engine's constructor.  The implicit cheap auditor has
             # nothing left to check here -- this engine never touches
             # the counters or substrate it covers -- so it does not
-            # attach at all (capability honesty, not a silent no-op).
+            # attach at all (an honest detach, not a silent no-op).
             self.auditor = None
 
         # Populated by the restructuring phase:

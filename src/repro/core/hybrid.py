@@ -26,7 +26,7 @@ from repro.core.btc import BtcAlgorithm
 from repro.core.context import ExecutionContext
 from repro.errors import BufferPoolExhaustedError
 from repro.obs.tracing import EV_BLOCK_REBLOCK
-from repro.storage.engine import CAP_PINNING, PageId
+from repro.storage.engine import PageId
 
 
 class HybridAlgorithm(TwoPhaseAlgorithm):
@@ -80,7 +80,7 @@ class HybridAlgorithm(TwoPhaseAlgorithm):
         unpinned_lists: set[int] = set()
         metrics = ctx.metrics
         position = ctx.position
-        can_pin = ctx.engine.supports(CAP_PINNING)
+        can_pin = ctx.engine.paged
 
         def pin_list(node: int) -> None:
             if node in unpinned_lists:

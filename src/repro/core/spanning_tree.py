@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 from repro.core.base import TwoPhaseAlgorithm
 from repro.core.context import ExecutionContext
-from repro.storage.engine import BLOCK_CAPACITY, CAP_PAGE_COSTS
+from repro.storage.engine import BLOCK_CAPACITY
 
 
 @dataclass
@@ -73,7 +73,7 @@ class SpanningTreeAlgorithm(TwoPhaseAlgorithm):
         metrics = ctx.metrics
         # Engines without a page-cost model ignore the per-union list of
         # visited blocks, so tracking it would be pure overhead.
-        self._charged = ctx.engine.supports(CAP_PAGE_COSTS)
+        self._charged = ctx.engine.paged
         arcs_considered = arcs_marked = locality = 0
         for node in reversed(ctx.topo_order):
             children = sorted(ctx.adjacency[node], key=position.__getitem__)

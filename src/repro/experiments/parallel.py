@@ -65,6 +65,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import math
+import os
 import signal
 import threading
 import time
@@ -75,8 +76,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from typing import Any
 
+from repro.chaos.audit import ENV_AUDIT, audit_mode
 from repro.chaos.checkpoint import SweepJournal, cell_key
-from repro.chaos.faults import FaultKind, active_plan, arm_from_env
+from repro.chaos.faults import ENV_CHAOS, FaultKind, FaultPlan, active_plan, arm_from_env
 from repro.core.base import TwoPhaseAlgorithm
 from repro.core.query import SystemConfig
 from repro.core.result import ClosureResult
@@ -92,6 +94,7 @@ from repro.obs.sink import RunSink, get_global_sink, reset_worker_sinks
 from repro.obs.spans import SpanRecorder
 from repro.obs.tracing import TraceCollector, TraceEventRecord
 from repro.serve.retry import DEFAULT_BACKOFF_BASE, BackoffPolicy
+from repro.storage.engine import ENV_ENGINE, default_engine
 
 DEFAULT_RETRIES = 1
 """How many times a failed or timed-out unit is resubmitted."""
@@ -273,6 +276,24 @@ def _worker_init() -> None:
     arm_from_env()
 
 
+def arm_planes(chaos: str | None = None, audit: str | None = None,
+               engine: str | None = None) -> FaultPlan | None:
+    """Export the plane flags, then check and arm every ``REPRO_*`` switch.
+
+    Each environment variable is its plane's one switch, read the same
+    way by this process and by every pool worker (:func:`_worker_init`);
+    ``--chaos``, ``--audit`` and ``run_all --engine`` only export it.  A
+    misspelt value raises :class:`~repro.errors.ConfigurationError`
+    here, before any unit runs.
+    """
+    for value, variable in ((chaos, ENV_CHAOS), (audit, ENV_AUDIT), (engine, ENV_ENGINE)):
+        if value:
+            os.environ[variable] = value
+    default_engine()
+    audit_mode()
+    return arm_from_env()
+
+
 def _cached_graph(spec: GraphSpec, cache: dict[GraphSpec, Digraph]) -> Digraph:
     graph = cache.get(spec)
     if graph is None:
@@ -374,7 +395,7 @@ def execute_unit(unit: WorkUnit, timeout: float | None, reps: int = 1,
             recorder = collector = None
             if instrumented:
                 if unit.instrument is Instrument.TRACE and rep == 0:
-                    collector = TraceCollector(label=unit.algorithm)
+                    collector = TraceCollector()
                 recorder = SpanRecorder(collector=collector)
             with _unit_guard(timeout) as check_deadline:
                 start = time.perf_counter()

@@ -24,29 +24,31 @@ Robustness controls (see ``docs/ROBUSTNESS.md``):
   crash-safe checkpoint; re-running the same command after a kill
   re-executes only the missing cells and produces byte-identical
   output.
-* ``--chaos SPEC`` -- arm the fault-injection plane (also exported as
-  ``REPRO_CHAOS`` so worker processes arm the same plan).
+* ``--chaos SPEC`` -- arm the fault-injection plane (exported as
+  ``REPRO_CHAOS``, which this process and every worker arm from).
 * ``--audit MODE`` -- off / cheap (default) / strict invariant
-  auditing.
+  auditing (exported as ``REPRO_AUDIT``).
+
+``--engine`` likewise only exports ``REPRO_ENGINE``, which every
+``SystemConfig`` the table and figure builders make resolves.  A
+misspelt ``REPRO_*`` variable fails before any unit runs (exit 2).
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
 
-from repro.chaos.audit import AUDIT_MODES, ENV_AUDIT, set_audit_mode
+from repro.chaos.audit import AUDIT_MODES
 from repro.chaos.checkpoint import SweepJournal
-from repro.chaos.faults import ENV_CHAOS, FaultPlan, set_fault_plan
 from repro.errors import ReproError
 from repro.experiments.config import PROFILES, get_profile
 from repro.experiments.figures import ALL_FIGURES, FigureData
-from repro.experiments.parallel import ExperimentEngine, use_engine
+from repro.experiments.parallel import ExperimentEngine, arm_planes, use_engine
 from repro.experiments.tables import table2, table3, table4
 from repro.metrics.report import format_table
-from repro.storage.engine import ENGINE_NAMES, ENV_ENGINE, set_default_engine
+from repro.storage.engine import ENGINE_NAMES
 
 _TABLES = {
     "table2": lambda profile: format_table(
@@ -111,22 +113,10 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--jobs must be >= 1")
     profile = get_profile(args.profile)
 
-    plan = None
     try:
-        if args.chaos:
-            plan = FaultPlan.parse(args.chaos)
-            set_fault_plan(plan)
-            # Workers re-arm their own plan from the environment.
-            os.environ[ENV_CHAOS] = args.chaos
-        if args.audit:
-            set_audit_mode(args.audit)
-            os.environ[ENV_AUDIT] = args.audit
-        if args.engine:
-            # The figure/table builders construct their own SystemConfigs;
-            # the process default (plus the env, for workers) reroutes
-            # them all without touching every call site.
-            set_default_engine(args.engine)
-            os.environ[ENV_ENGINE] = args.engine
+        # The figure/table builders' SystemConfigs resolve the exported
+        # REPRO_ENGINE, in every process, without touching a call site.
+        plan = arm_planes(args.chaos, args.audit, args.engine)
         journal = SweepJournal(args.resume) if args.resume else None
     except (ReproError, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -4,8 +4,8 @@ The reproduction rests on invariants that ordinary linters cannot see:
 algorithm code must stay behind the :class:`~repro.storage.engine.
 StorageEngine` seam, every code path must be bit-deterministic (the
 parallel engine, ``--resume`` and the engine-parity goldens all depend
-on it), page-cost bookkeeping must be guarded by ``CAP_*`` capability
-checks, counters must flow through the sanctioned
+on it), page-cost bookkeeping must be guarded by the ``engine.paged``
+fact, counters must flow through the sanctioned
 :class:`~repro.metrics.counters.MetricSet` fold API, and the journal
 and sink write paths must flush + fsync.  ``repro-lint`` walks the
 parsed AST of a file set and enforces exactly those rules:
@@ -16,7 +16,7 @@ RPL002    determinism hygiene -- no wall clock, unseeded RNG or
           unordered set iteration on deterministic paths
 RPL003    counter discipline -- counter writes go through the MetricSet API
 RPL004    capability guards -- page-cost/pinning engine hooks are dominated
-          by a ``CAP_*`` check
+          by an ``engine.paged`` check
 RPL005    exception hygiene -- no bare/swallowed ``except`` on chaos paths
 RPL006    fsync discipline -- journal/sink writes flush and fsync
 RPL007    scale hygiene -- whole-graph sweeps must not rebuild per-node

@@ -197,9 +197,8 @@ class FileContext:
         """Simple ``name = expr`` assignments visible from ``node``.
 
         Walks the enclosing function scopes (innermost first, first
-        binding wins) so a guard flag like ``charged = engine.supports(
-        CAP_PAGE_COSTS)`` can be traced from an ``if charged:`` test in
-        a nested closure.
+        binding wins) so a guard flag like ``charged = ctx.engine.paged``
+        can be traced from an ``if charged:`` test in a nested closure.
         """
         table: dict[str, ast.expr] = {}
         scopes: list[ast.AST] = [*self.enclosing_functions(node), self.tree]

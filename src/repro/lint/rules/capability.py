@@ -1,25 +1,23 @@
-"""RPL004: optional engine hooks run behind capability checks.
+"""RPL004: optional engine hooks run behind the ``engine.paged`` guard.
 
 The fast engine deliberately does not model page costs or pinning; the
-engine contract says callers probe ``engine.supports(CAP_*)`` (or call
-``engine.require(CAP_*)`` up front) before invoking the optional hooks.
-Unguarded calls happen to work today because the fast engine stubs the
-hooks as no-ops, but they couple algorithms to that accident -- a third
-engine that raises instead would break them.  This rule requires every
-cost/pinning hook call outside ``repro/storage/`` to be dominated by a
-capability check.
+engine contract says callers test ``engine.paged`` before invoking the
+optional hooks.  Unguarded calls happen to work today because the fast
+engine stubs the hooks as no-ops, but they couple algorithms to that
+accident -- a third engine that raises instead would break them.  This
+rule requires every cost/pinning hook call outside ``repro/storage/``
+to be dominated by that guard.
 
-A call counts as guarded when any of these hold in its enclosing
-function:
+A guard is a read of ``.paged`` on an engine receiver (terminal name
+``engine``/``_engine``, so ``ctx.engine.paged`` counts and
+``config.paged`` does not).  A call counts as guarded when either holds
+in its enclosing function:
 
-* an ancestor ``if``/``while`` test contains ``.supports(CAP_*)`` /
-  ``.require(CAP_*)`` -- directly, or via a flag assigned from such a
-  call (``charged = engine.supports(CAP_PAGE_COSTS)`` ... ``if
-  charged:``);
-* an earlier ``engine.require(CAP_*)`` call (require raises, so
-  everything after it is dominated);
-* an earlier early-exit guard (``if not can_pin: return`` / ``continue``
-  / ``raise``) whose test references a capability check.
+* an ancestor ``if``/``while``/ternary test contains a guard --
+  directly, or via a flag assigned from one (``charged =
+  ctx.engine.paged`` ... ``if charged:``), traced into closures;
+* an earlier early-exit guard (``if not charged: return`` / ``continue``
+  / ``raise``) whose test references a guard.
 """
 
 from __future__ import annotations
@@ -29,14 +27,16 @@ from collections.abc import Iterable
 
 from repro.lint.framework import FileContext, Finding, Rule, terminal_name
 
-GUARDED_METHODS = {
-    "touch_page": "CAP_PAGE_COSTS",
-    "create_page": "CAP_PAGE_COSTS",
-    "flush_output": "CAP_PAGE_COSTS",
-    "probe_arcs_unclustered": "CAP_PAGE_COSTS",
-    "pin_page": "CAP_PINNING",
-    "unpin_page": "CAP_PINNING",
-}
+GUARDED_METHODS = frozenset(
+    {
+        "touch_page",
+        "create_page",
+        "flush_output",
+        "probe_arcs_unclustered",
+        "pin_page",
+        "unpin_page",
+    }
+)
 
 ENGINE_RECEIVERS = ("engine", "_engine")
 
@@ -46,72 +46,52 @@ class CapabilityGuardRule(Rule):
     name = "capability-guards"
     summary = (
         "optional engine hooks (page costs, pinning) must be dominated "
-        "by an engine.supports(CAP_*)/require(CAP_*) check"
+        "by an engine.paged check"
     )
 
     def __init__(self) -> None:
-        self.methods: dict[str, str] = dict(GUARDED_METHODS)
+        self.methods: frozenset[str] = GUARDED_METHODS
         self.receivers: tuple[str, ...] = ENGINE_RECEIVERS
         self.allowed_prefixes: tuple[str, ...] = ("repro.storage",)
 
     # -- guard detection -------------------------------------------------------
 
-    @staticmethod
-    def _has_cap_arg(call: ast.Call) -> bool:
-        for arg in call.args:
-            name = terminal_name(arg)
-            if name is not None and name.startswith("CAP_"):
-                return True
-        return False
-
-    def _is_check_call(self, node: ast.AST) -> bool:
+    def _is_guard(self, node: ast.AST) -> bool:
         return (
-            isinstance(node, ast.Call)
-            and terminal_name(node.func) in ("supports", "require")
-            and self._has_cap_arg(node)
+            isinstance(node, ast.Attribute)
+            and node.attr == "paged"
+            and terminal_name(node.value) in self.receivers
         )
 
-    def _capability_test(self, ctx: FileContext, test: ast.AST, at: ast.AST) -> bool:
-        """Whether a condition expression encodes a capability check."""
+    def _guard_test(self, ctx: FileContext, test: ast.AST, at: ast.AST) -> bool:
+        """Whether a condition expression reads the ``engine.paged`` guard."""
         assignments: dict[str, ast.expr] | None = None
         for sub in ast.walk(test):
-            if self._is_check_call(sub):
+            if self._is_guard(sub):
                 return True
             if isinstance(sub, ast.Name):
                 if assignments is None:
                     assignments = ctx.scope_assignments(at)
                 value = assignments.get(sub.id)
-                if value is not None and self._is_check_call(value):
+                if value is not None and self._is_guard(value):
                     return True
         return False
 
     def _is_guarded(self, ctx: FileContext, node: ast.Call) -> bool:
         for ancestor in ctx.ancestors(node):
-            if isinstance(ancestor, (ast.If, ast.While)) and self._capability_test(
-                ctx, ancestor.test, node
-            ):
-                return True
-            if isinstance(ancestor, ast.IfExp) and self._capability_test(
-                ctx, ancestor.test, node
-            ):
+            if isinstance(
+                ancestor, (ast.If, ast.While, ast.IfExp)
+            ) and self._guard_test(ctx, ancestor.test, node):
                 return True
         functions = ctx.enclosing_functions(node)
         scope = functions[0] if functions else ctx.tree
         for statement in ast.walk(scope):
-            lineno = getattr(statement, "lineno", node.lineno)
-            if lineno >= node.lineno:
-                continue
-            if (
-                isinstance(statement, ast.Call)
-                and terminal_name(statement.func) == "require"
-                and self._has_cap_arg(statement)
-            ):
-                return True
             if (
                 isinstance(statement, ast.If)
+                and statement.lineno < node.lineno
                 and statement.body
                 and isinstance(statement.body[-1], (ast.Return, ast.Continue, ast.Raise))
-                and self._capability_test(ctx, statement.test, statement)
+                and self._guard_test(ctx, statement.test, statement)
             ):
                 return True
         return False
@@ -132,10 +112,8 @@ class CapabilityGuardRule(Rule):
                 continue
             if self._is_guarded(ctx, node):
                 continue
-            capability = self.methods[func.attr]
             yield self.finding(
                 ctx,
                 node,
-                f"engine hook {func.attr}() called without a "
-                f"supports({capability})/require({capability}) guard",
+                f"engine hook {func.attr}() called without an engine.paged guard",
             )

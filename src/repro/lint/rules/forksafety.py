@@ -22,8 +22,7 @@ corrupt multi-process sweeps:
 
 The reachability walk is a same-module call-graph BFS from every
 ``.submit(...)`` target; attribute calls and imports are not followed
-(cross-module state is the capability system's problem, not this
-rule's).
+(cross-module state is out of this rule's scope).
 """
 
 from __future__ import annotations

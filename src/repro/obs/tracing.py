@@ -10,9 +10,9 @@ heatmaps (:mod:`repro.obs.heatmap`) and HTML run reports
 :class:`~repro.obs.record.RunRecord`
 (:func:`~repro.obs.record.summarise_trace`).
 
-Tracing is a *capability* of the engine seam: only engines that
-advertise ``CAP_TRACE`` (the paged substrate) accept a collector; the
-fast engine refuses explicitly with :class:`EngineCapabilityError`.
+Tracing needs simulated pages: only a paged engine
+(``StorageEngine.paged``) accepts a collector; the fast engine refuses
+explicitly with :class:`EngineCapabilityError`.
 Every emit site is gated on ``collector is not None`` so a disabled
 trace plane costs one pointer test and cannot move a counter.
 
@@ -153,11 +153,10 @@ class TraceCollector:
 
     DEFAULT_CAPACITY = 1_000_000
 
-    def __init__(self, capacity: int = DEFAULT_CAPACITY, label: str = "") -> None:
+    def __init__(self, capacity: int = DEFAULT_CAPACITY) -> None:
         if capacity <= 0:
             raise ValueError("trace capacity must be positive")
         self.capacity = capacity
-        self.label = label
         self.dropped = 0
         self.phase = ""
         self._events: deque[TraceEventRecord] = deque(maxlen=capacity)

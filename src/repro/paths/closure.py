@@ -43,7 +43,7 @@ from repro.paths.semiring import (
     Semiring,
 )
 from repro.paths.weighted import WeightedDigraph
-from repro.storage.engine import CAP_PAGE_COSTS, PageId, PageKind, make_engine
+from repro.storage.engine import PageId, PageKind, make_engine
 from repro.storage.iostats import Phase
 
 VALUE_BLOCK_CAPACITY = 7
@@ -185,7 +185,7 @@ def generalized_closure(
         output_nodes = list(order)
     else:
         output_nodes = [s for s in query.sources or () if s in scope]
-    if engine.supports(CAP_PAGE_COSTS):
+    if engine.paged:
         output_pages: set[PageId] = set()
         for node in output_nodes:
             output_pages.update(store.pages_of(node))

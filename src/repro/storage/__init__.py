@@ -32,7 +32,6 @@ from repro.storage.engine import (
     StorageEngine,
     default_engine,
     make_engine,
-    set_default_engine,
 )
 from repro.storage.iostats import IoStats, Phase
 from repro.storage.page import (
@@ -71,5 +70,4 @@ __all__ = [
     "default_engine",
     "make_engine",
     "make_policy",
-    "set_default_engine",
 ]

@@ -31,7 +31,6 @@ from typing import TYPE_CHECKING
 
 from repro.chaos.faults import FaultKind, FaultPlan, active_plan
 from repro.errors import (
-    BufferPoolError,
     BufferPoolExhaustedError,
     ConfigurationError,
     CorruptPageReadError,
@@ -416,26 +415,6 @@ class BufferPool:
             self._pinned.discard(page)
         if self.collector is not None:
             self.collector.emit(EV_PAGE_UNPIN, page.kind.value, page.number)
-
-    def unpin_all(self) -> None:
-        """Release every pin (used when Hybrid tears down a block)."""
-        for page in list(self._pinned):
-            frame = self._frames[page]
-            frame.pin_count = 0
-            if self.collector is not None:
-                self.collector.emit(
-                    EV_PAGE_UNPIN, page.kind.value, page.number, detail="all"
-                )
-        self._pinned.clear()
-
-    def evict(self, page: PageId) -> None:
-        """Explicitly evict ``page`` (must be resident and unpinned)."""
-        frame = self._frames.get(page)
-        if frame is None:
-            return
-        if frame.pin_count:
-            raise BufferPoolError(f"cannot evict pinned page {page}")
-        self._drop(frame)
 
     def flush(self) -> None:
         """Write every dirty resident page, leaving all pages resident."""

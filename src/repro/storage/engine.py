@@ -16,13 +16,15 @@ and flushing the answer.  Two engines implement the interface:
   for differential testing, the :mod:`repro.api` query path, and
   serving workloads where page costs are irrelevant.
 
-Capability hooks
-----------------
+One fact about the engine
+-------------------------
 
-Cross-cutting planes (chaos fault injection, invariant auditing, page
-tracing, frame pinning) attach through *capabilities*.  An engine
-advertises what it supports via :meth:`StorageEngine.supports`; asking
-for an unsupported capability raises a structured
+The two engines differ in exactly one respect: whether pages are
+simulated.  :attr:`StorageEngine.paged` states it.  Algorithms test
+``engine.paged`` before the optional page-cost and pinning hooks (the
+RPL004 lint rule enforces it), and the cross-cutting planes that live
+in the paged substrate -- chaos storage faults, invariant auditing,
+page tracing -- are refused by the fast engine with a structured
 :class:`~repro.errors.EngineCapabilityError` instead of silently
 no-op'ing, so "the chaos run passed" can never mean "the faults were
 dropped on the floor".
@@ -32,9 +34,8 @@ Engine selection
 
 The engine is part of :class:`~repro.core.query.SystemConfig`
 (``engine=``), resolved at construction time from, in order: an
-explicit value, a process-wide default set by
-:func:`set_default_engine` (the ``--engine`` flags), the
-``REPRO_ENGINE`` environment variable, and finally ``"paged"``.
+explicit value, the ``REPRO_ENGINE`` environment variable (which the
+``--engine`` flag of ``run_all`` exports), and finally ``"paged"``.
 Because the resolved name is frozen into the config, pickled work units
 carry their engine to worker processes unchanged.
 """
@@ -45,7 +46,7 @@ import os
 from abc import ABC, abstractmethod
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
-from repro.errors import ConfigurationError, EngineCapabilityError
+from repro.errors import ConfigurationError
 from repro.storage.page import (
     BLOCK_CAPACITY,
     BLOCKS_PER_PAGE,
@@ -77,11 +78,6 @@ __all__ = [
     "PageKind",
     "pages_needed",
     # The seam itself.
-    "CAP_AUDIT",
-    "CAP_CHAOS",
-    "CAP_PAGE_COSTS",
-    "CAP_PINNING",
-    "CAP_TRACE",
     "ENGINE_NAMES",
     "ENV_ENGINE",
     "ListPlacementPolicy",
@@ -89,7 +85,6 @@ __all__ = [
     "StorageEngine",
     "default_engine",
     "make_engine",
-    "set_default_engine",
 ]
 
 ENV_ENGINE = "REPRO_ENGINE"
@@ -98,39 +93,15 @@ ENV_ENGINE = "REPRO_ENGINE"
 ENGINE_NAMES = ("paged", "fast")
 """Registered engine names, in documentation order."""
 
-# -- capabilities -----------------------------------------------------------
-
-CAP_PAGE_COSTS = "page-costs"
-"""Page touches are charged to the I/O counters (the paper's measure)."""
-
-CAP_PINNING = "pinning"
-"""Frames can be pinned/unpinned (the Hybrid algorithm's diagonal block)."""
-
-CAP_CHAOS = "chaos"
-"""The chaos fault plane's storage fault sites are live in this engine."""
-
-CAP_AUDIT = "audit"
-"""The invariant auditor can inspect this engine's substrate state."""
-
-CAP_TRACE = "trace"
-"""Event tracing: a :class:`~repro.obs.tracing.TraceCollector` can record
-the engine's page events (with full page identity), block and delta
-events."""
-
-
-_default: str | None = None  # process-wide override; None = env / "paged"
-
 
 def default_engine() -> str:
-    """The effective default engine: explicit setting > REPRO_ENGINE > paged.
+    """The effective default engine: REPRO_ENGINE, else paged.
 
     A ``REPRO_ENGINE`` value naming no registered engine raises a
     :class:`~repro.errors.ConfigurationError` that spells out both the
     offending value and the accepted set -- a typo'd export must not
     silently fall back to the paged engine and measure the wrong thing.
     """
-    if _default is not None:
-        return _default
     value = os.environ.get(ENV_ENGINE, "").strip().lower()
     if not value:
         return "paged"
@@ -141,22 +112,6 @@ def default_engine() -> str:
             f"valid engines: {valid}"
         )
     return value
-
-
-def set_default_engine(name: str | None) -> str | None:
-    """Set (or clear, with ``None``) the process-wide default engine.
-
-    Returns the previous override so callers can restore it.
-    """
-    global _default
-    if name is not None and name not in ENGINE_NAMES:
-        valid = ", ".join(ENGINE_NAMES)
-        raise ConfigurationError(
-            f"unknown storage engine {name!r}; valid engines: {valid}"
-        )
-    previous = _default
-    _default = name
-    return previous
 
 
 # -- the interface ----------------------------------------------------------
@@ -220,26 +175,15 @@ class StorageEngine(ABC):
     """
 
     name: str = "abstract"
-    capabilities: frozenset[str] = frozenset()
+    paged: bool
+    """Whether pages are simulated: page touches are charged to the I/O
+    counters, frames can be pinned, and the chaos storage faults, the
+    invariant auditor and page tracing have a substrate to act on.  Test
+    it before the optional page-cost and pinning hooks."""
     store: ListStore
     collector: "TraceCollector | None" = None
     """The run's structured trace collector, when one is attached
-    (requires ``CAP_TRACE``); emit sites above the pool reach it here."""
-
-    # -- capability hooks ---------------------------------------------------
-
-    def supports(self, capability: str) -> bool:
-        """Whether this engine provides ``capability``."""
-        return capability in self.capabilities
-
-    def require(self, capability: str, detail: str = "") -> None:
-        """Raise :class:`EngineCapabilityError` unless supported."""
-        if capability not in self.capabilities:
-            suffix = f" ({detail})" if detail else ""
-            raise EngineCapabilityError(
-                f"the {self.name!r} storage engine does not support "
-                f"{capability!r}{suffix}; run with the 'paged' engine instead"
-            )
+    (paged engines only); emit sites above the pool reach it here."""
 
     # -- relation access paths ----------------------------------------------
 
@@ -335,37 +279,23 @@ def make_engine(
 ) -> StorageEngine:
     """Build the engine named by ``system.engine`` for one run.
 
-    ``recorder``, ``auditor`` and ``collector`` are the
-    observability planes; engines that cannot honour an *explicitly
-    requested* plane refuse at construction time (capability hooks)
-    rather than running blind.
+    ``SystemConfig`` has already resolved and validated the name.
+    ``recorder``, ``auditor`` and ``collector`` are the observability
+    planes; an engine that cannot honour an *explicitly requested* plane
+    refuses at construction time rather than running blind.
     """
-    name = getattr(system, "engine", "") or default_engine()
-    if name == "paged":
-        from repro.storage.paged import PagedEngine
+    from repro.storage.fast import FastEngine
+    from repro.storage.paged import PagedEngine
 
-        return PagedEngine(
-            graph,
-            system,
-            metrics=metrics,
-            needs_inverse=needs_inverse,
-            recorder=recorder,
-            auditor=auditor,
-            collector=collector,
-        )
-    if name == "fast":
-        from repro.storage.fast import FastEngine
-
-        return FastEngine(
-            graph,
-            system,
-            metrics=metrics,
-            needs_inverse=needs_inverse,
-            recorder=recorder,
-            auditor=auditor,
-            collector=collector,
-        )
-    valid = ", ".join(ENGINE_NAMES)
-    raise ConfigurationError(
-        f"unknown storage engine {name!r}; valid engines: {valid}"
+    engine_class: type[PagedEngine] | type[FastEngine] = (
+        PagedEngine if system.engine == "paged" else FastEngine
+    )
+    return engine_class(
+        graph,
+        system,
+        metrics=metrics,
+        needs_inverse=needs_inverse,
+        recorder=recorder,
+        auditor=auditor,
+        collector=collector,
     )

@@ -9,12 +9,13 @@ stay at zero.  This is the backend for differential testing, the
 :mod:`repro.api` query path, and serving workloads where the paper's
 cost model is irrelevant and runtime is not.
 
-Capability honesty: the chaos fault plane, event tracing, and substrate
-auditing all live in the paged structures this engine does not have.
-Rather than silently no-op'ing, construction fails with a structured
-:class:`~repro.errors.EngineCapabilityError` whenever one of those
-planes was *explicitly requested* (a fault plan is armed, a trace
-collector is attached, or ``--audit``/``REPRO_AUDIT`` was set).  The implicit
+``FastEngine.paged`` is ``False``: the chaos storage faults, event
+tracing, and substrate auditing all live in the paged structures this
+engine does not have.  Rather than silently no-op'ing, construction
+fails with a structured :class:`~repro.errors.EngineCapabilityError`
+whenever one of those planes was *explicitly requested* (a plan arming
+a storage fault site, a trace collector, or ``REPRO_AUDIT``, which
+``--audit`` exports, set to anything but ``off``).  The implicit
 default ("cheap" auditing) simply detaches: there is no paged
 substrate to check, so no auditor is constructed and
 :meth:`FastEngine.audit` is a no-op.  Parity with
@@ -30,15 +31,9 @@ from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.chaos.audit import explicit_audit_mode
 from repro.chaos.faults import STORAGE_FAULT_KINDS, active_plan
-from repro.errors import StorageError
-from repro.storage.engine import (
-    CAP_AUDIT,
-    CAP_CHAOS,
-    CAP_TRACE,
-    ListStore,
-    StorageEngine,
-)
-from repro.storage.page import BLOCK_CAPACITY, PageId, PageKind
+from repro.errors import EngineCapabilityError, StorageError
+from repro.storage.engine import ListStore, StorageEngine
+from repro.storage.page import PageId, PageKind
 from repro.storage.successor_store import ListPlacementPolicy
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -66,8 +61,7 @@ class FastListStore(ListStore):
     graph's node count makes list creation allocation-free.
     """
 
-    def __init__(self, block_capacity: int = BLOCK_CAPACITY, capacity: int = 0) -> None:
-        self.block_capacity = block_capacity
+    def __init__(self, capacity: int = 0) -> None:
         self._lengths = array("q", [_ABSENT]) * capacity
 
     def __contains__(self, node: int) -> bool:
@@ -90,8 +84,8 @@ class FastListStore(ListStore):
         self._lengths[node] = initial_entries
 
     def read_list(self, node: int) -> int:
-        # The existence check is inlined (no _require call): these are
-        # the hottest store entry points under the fast engine.
+        # The existence check is inlined: these are the hottest store
+        # entry points under the fast engine.
         lengths = self._lengths
         if not 0 <= node < len(lengths) or lengths[node] == _ABSENT:
             raise StorageError(f"no successor list exists for node {node}")
@@ -111,12 +105,6 @@ class FastListStore(ListStore):
             raise StorageError(f"no successor list exists for node {node}")
         lengths[node] += count
 
-    def rewrite_list(self, node: int, new_length: int) -> None:
-        lengths = self._lengths
-        if not 0 <= node < len(lengths) or lengths[node] == _ABSENT:
-            raise StorageError(f"no successor list exists for node {node}")
-        lengths[node] = new_length
-
     def drop_list(self, node: int) -> None:
         lengths = self._lengths
         if 0 <= node < len(lengths) and lengths[node] != _ABSENT:
@@ -134,30 +122,20 @@ class FastListStore(ListStore):
     def page_count(self, node: int) -> int:
         return 0
 
-    def block_index_of_entry(self, node: int, entry_index: int) -> int:
-        length = self._require(node)
-        if not 0 <= entry_index < length:
-            raise StorageError(
-                f"entry {entry_index} out of range for list of length {length}"
-            )
-        return entry_index // self.block_capacity
 
-    @property
-    def total_pages(self) -> int:
-        return 0
-
-    def _require(self, node: int) -> int:
-        lengths = self._lengths
-        if not 0 <= node < len(lengths) or lengths[node] == _ABSENT:
-            raise StorageError(f"no successor list exists for node {node}")
-        return lengths[node]
+def _refusal(plane: str, reason: str) -> EngineCapabilityError:
+    """The structured refusal of an explicitly requested ``plane``."""
+    return EngineCapabilityError(
+        f"the 'fast' storage engine does not support {plane!r} ({reason}); "
+        "run with the 'paged' engine instead"
+    )
 
 
 class FastEngine(StorageEngine):
     """Pure in-memory execution: identical closures, zero page costs."""
 
     name = "fast"
-    capabilities = frozenset()
+    paged = False
 
     def __init__(
         self,
@@ -172,25 +150,20 @@ class FastEngine(StorageEngine):
     ) -> None:
         # Refuse explicitly requested planes this engine cannot honour.
         if collector is not None:
-            self.require(CAP_TRACE, "event tracing needs the simulated pool")
+            raise _refusal("trace", "event tracing needs the simulated pool")
         plan = active_plan()
         if plan is not None and plan.arms_any(STORAGE_FAULT_KINDS):
             # Serve-site faults (slow-handler, cancelled-request, ...)
             # live above the seam and work on every engine; only the
             # storage/experiment sites need the paged substrate.
-            self.require(CAP_CHAOS, "the storage fault sites live in the paged substrate")
+            raise _refusal("chaos", "the storage fault sites live in the paged substrate")
         if explicit_audit_mode() not in (None, "off"):
-            self.require(CAP_AUDIT, "substrate auditing needs the paged structures")
+            raise _refusal("audit", "substrate auditing needs the paged structures")
         self.graph = graph
         self.system = system
         self.metrics = metrics
         self.collector = None
-        self.pool = None
-        self.relation = None
-        self.inverse_relation = None
-        self.store: FastListStore = FastListStore(
-            block_capacity=system.block_capacity, capacity=graph.num_nodes
-        )
+        self.store: FastListStore = FastListStore(capacity=graph.num_nodes)
 
     # -- relation access paths ----------------------------------------------
 

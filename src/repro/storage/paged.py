@@ -10,9 +10,9 @@ interface.  Every method is a 1:1 delegation to the component that
 implemented it before the seam existed, so the engine's counters are
 bit-identical to the pre-seam substrate.
 
-This engine supports every capability: page costs, pinning, chaos
-fault injection (the fault sites live in the pool and the store),
-invariant auditing, and event tracing.
+``PagedEngine.paged`` is ``True``: page costs, pinning, chaos fault
+injection (the fault sites live in the pool and the store), invariant
+auditing, and event tracing all act on this engine.
 """
 
 from __future__ import annotations
@@ -22,15 +22,7 @@ from typing import TYPE_CHECKING, Any, Iterable
 
 from repro.errors import StorageError
 from repro.storage.buffer import BufferPool, make_policy
-from repro.storage.engine import (
-    CAP_AUDIT,
-    CAP_CHAOS,
-    CAP_PAGE_COSTS,
-    CAP_PINNING,
-    CAP_TRACE,
-    ListStore,
-    StorageEngine,
-)
+from repro.storage.engine import ListStore, StorageEngine
 from repro.storage.page import PageId, PageKind
 from repro.storage.relation import ArcRelation, InverseArcRelation
 from repro.storage.successor_store import ListPlacementPolicy, SuccessorListStore
@@ -50,9 +42,7 @@ class PagedEngine(StorageEngine):
     """Simulated paged disk: buffer pool, clustered relations, list pages."""
 
     name = "paged"
-    capabilities = frozenset(
-        {CAP_PAGE_COSTS, CAP_PINNING, CAP_CHAOS, CAP_AUDIT, CAP_TRACE}
-    )
+    paged = True
 
     def __init__(
         self,

@@ -130,11 +130,6 @@ class SuccessorListStore:
         layout = self._layouts.get(node)
         return len(layout.pages) if layout is not None else 0
 
-    @property
-    def total_pages(self) -> int:
-        """Number of pages the store has allocated so far."""
-        return len(self._page_ids)
-
     # -- lifecycle -------------------------------------------------------------
 
     def create_list(self, node: int, initial_entries: int = 0) -> None:
@@ -189,34 +184,11 @@ class SuccessorListStore:
         layout = self._require(node)
         self._extend(node, layout, count)
 
-    def rewrite_list(self, node: int, new_length: int) -> None:
-        """Replace ``node``'s list with one of ``new_length`` entries.
-
-        Used when a tree-structured list is re-serialised after a union:
-        the old blocks are freed and fresh ones allocated contiguously.
-        """
-        layout = self._require(node)
-        self._release_blocks(node, layout)
-        layout.blocks = []
-        layout.pages = []
-        layout.length = 0
-        if new_length:
-            self._extend(node, layout, new_length)
-
     def drop_list(self, node: int) -> None:
         """Free ``node``'s list without any I/O (memory-resident discard)."""
         layout = self._layouts.pop(node, None)
         if layout is not None:
             self._release_blocks(node, layout)
-
-    def block_index_of_entry(self, node: int, entry_index: int) -> int:
-        """Which block of ``node``'s list holds the entry at ``entry_index``."""
-        layout = self._require(node)
-        if not 0 <= entry_index < layout.length:
-            raise StorageError(
-                f"entry {entry_index} out of range for list of length {layout.length}"
-            )
-        return entry_index // self.block_capacity
 
     # -- internals ---------------------------------------------------------------
 

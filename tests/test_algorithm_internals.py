@@ -15,7 +15,6 @@ from repro.core.hybrid import HybridAlgorithm
 from repro.core.query import Query, SystemConfig
 from repro.core.spanning_tree import SpanningTreeAlgorithm
 from repro.graphs.digraph import Digraph
-from repro.graphs.generator import generate_dag
 from repro.storage.iostats import Phase
 from repro.storage.page import PageKind
 

@@ -2,7 +2,7 @@
 
 from repro.core.bfs import BjAlgorithm
 from repro.core.btc import BtcAlgorithm
-from repro.core.query import Query, SystemConfig
+from repro.core.query import Query
 from repro.graphs.digraph import Digraph
 
 from conftest import oracle_closure

@@ -4,7 +4,6 @@ import pytest
 
 from repro.chaos.faults import FaultPlan, use_fault_plan
 from repro.errors import (
-    BufferPoolError,
     BufferPoolExhaustedError,
     ConfigurationError,
     CorruptPageReadError,
@@ -12,7 +11,7 @@ from repro.errors import (
 )
 from repro.obs.tracing import TraceCollector
 from repro.storage.buffer import BufferPool, make_policy
-from repro.storage.iostats import IoStats, Phase
+from repro.storage.iostats import Phase
 from repro.storage.page import PageId, PageKind
 
 
@@ -142,18 +141,13 @@ class TestPinning:
         pool.unpin(page(0))
         pool.access(page(1))
 
-    def test_explicit_evict_of_pinned_page_raises(self):
-        pool = BufferPool(2)
-        pool.pin(page(0))
-        with pytest.raises(BufferPoolError):
-            pool.evict(page(0))
-
     def test_pinned_count(self):
         pool = BufferPool(3)
         pool.pin(page(0))
         pool.pin(page(1))
         assert pool.pinned_count == 2
-        pool.unpin_all()
+        pool.unpin(page(0))
+        pool.unpin(page(1))
         assert pool.pinned_count == 0
 
 

@@ -5,12 +5,7 @@ import os
 
 import pytest
 
-from repro.chaos.audit import (
-    InvariantAuditor,
-    audit_mode,
-    make_auditor,
-    set_audit_mode,
-)
+from repro.chaos.audit import InvariantAuditor, audit_mode, make_auditor
 from repro.chaos.faults import (
     FaultKind,
     FaultPlan,
@@ -46,19 +41,21 @@ from repro.storage.successor_store import ListPlacementPolicy, SuccessorListStor
 
 @pytest.fixture(autouse=True)
 def clean_chaos(monkeypatch):
-    """Every test starts and ends with no plan armed and default audit."""
+    """Every test starts and ends with no plan armed and default audit.
+
+    ``REPRO_CHAOS`` and ``REPRO_AUDIT`` are the planes' only switches:
+    tests set them with ``monkeypatch.setenv``.
+    """
     monkeypatch.delenv("REPRO_CHAOS", raising=False)
     monkeypatch.delenv("REPRO_AUDIT", raising=False)
     set_fault_plan(None)
-    set_audit_mode(None)
     yield
-    # The CLIs export REPRO_CHAOS/REPRO_AUDIT so worker processes can
-    # re-arm; pop them explicitly -- monkeypatch.delenv on an *unset*
-    # variable records nothing, so it would not undo that export.
+    # The CLIs export --chaos/--audit as REPRO_CHAOS/REPRO_AUDIT; pop
+    # them explicitly -- monkeypatch.delenv on an *unset* variable
+    # records nothing, so it would not undo that export.
     os.environ.pop("REPRO_CHAOS", None)
     os.environ.pop("REPRO_AUDIT", None)
     set_fault_plan(None)
-    set_audit_mode(None)
 
 
 class TestSpecParsing:
@@ -103,6 +100,26 @@ class TestSpecParsing:
     def test_probability_range_checked(self):
         with pytest.raises(ConfigurationError, match=r"p must be in \[0, 1\]"):
             FaultPlan.parse("corrupt-read,p=1.5")
+
+    @pytest.mark.parametrize("ms", ["nan", "inf", "-inf", "-1"])
+    def test_non_finite_or_negative_ms_rejected(self, ms):
+        with pytest.raises(ConfigurationError, match="'slow-io': ms must be finite and >= 0"):
+            FaultPlan.parse(f"slow-io,p=1,ms={ms}")
+
+    @pytest.mark.parametrize("spec", ["corrupt-read,after=1,times=0",
+                                      "corrupt-read,p=1,times=-3"])
+    def test_times_below_one_rejected(self, spec):
+        # Such a rule could never fire: the run would pass un-injured.
+        with pytest.raises(ConfigurationError, match="'corrupt-read': times must be >= 1"):
+            FaultPlan.parse(spec)
+
+    def test_bad_clause_from_the_cli_names_the_parameter(self, capsys):
+        code = main(["--algorithm", "btc", "--family", "G4", "--scale", "8",
+                     "--chaos", "slow-io,p=1,ms=nan", "--quiet"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.count("error:") == 1
+        assert "'slow-io': ms must be finite" in err and "Traceback" not in err
 
 
 class TestDeterminism:
@@ -228,9 +245,9 @@ class TestFaultSites:
         assert evicted == 2
         assert pages[0] in pool
 
-    def test_torn_write_leaves_store_auditable(self, small_dag):
+    def test_torn_write_leaves_store_auditable(self, small_dag, monkeypatch):
         """A detected torn write must not corrupt the layout accounting."""
-        set_audit_mode("strict")
+        monkeypatch.setenv("REPRO_AUDIT", "strict")
         with use_fault_plan(FaultPlan.parse("torn-write,after=20")):
             with pytest.raises(TornWriteError):
                 _run_btc(small_dag)
@@ -304,16 +321,20 @@ class TestAuditor:
         assert audit_mode() == "cheap"
         monkeypatch.setenv("REPRO_AUDIT", "strict")
         assert audit_mode() == "strict"
-        set_audit_mode("off")  # explicit beats env
+        monkeypatch.setenv("REPRO_AUDIT", "off")
         assert audit_mode() == "off"
         assert make_auditor() is None
 
-    def test_invalid_mode_rejected(self):
-        with pytest.raises(InvariantViolation):
-            set_audit_mode("paranoid")
+    def test_invalid_mode_rejected(self, monkeypatch):
+        monkeypatch.setenv("REPRO_AUDIT", "paranoid")
+        with pytest.raises(ConfigurationError) as excinfo:
+            audit_mode()
+        message = str(excinfo.value)
+        assert "REPRO_AUDIT='paranoid'" in message
+        assert "off, cheap, strict" in message
 
-    def test_strict_run_is_silent_on_healthy_substrate(self, medium_dag):
-        set_audit_mode("strict")
+    def test_strict_run_is_silent_on_healthy_substrate(self, medium_dag, monkeypatch):
+        monkeypatch.setenv("REPRO_AUDIT", "strict")
         result = make_algorithm("btc").run(medium_dag, Query.ptc([0, 1, 2]))
         assert result.metrics.total_io > 0
 
@@ -327,8 +348,8 @@ class TestAuditor:
 
     @pytest.mark.parametrize("policy", list(ListPlacementPolicy))
     def test_store_page_lists_stay_current(self, policy):
-        """Splits, relocations, rewrites and drops keep every cached page
-        list equal to its blocks' pages, checked after each operation."""
+        """Splits, relocations and drops keep every cached page list
+        equal to its blocks' pages, checked after each operation."""
         auditor = InvariantAuditor(strict=True)
         pool = BufferPool(6, auditor=auditor)  # strict: pool re-checked per eviction
         store = SuccessorListStore(pool, policy=policy, blocks_per_page=4, block_capacity=3)
@@ -339,8 +360,6 @@ class TestAuditor:
             store.append(step % 6, 1 + step % 4)
             auditor.check_store(store)
         widest = max(range(6), key=store.page_count)
-        store.rewrite_list(widest, 7)
-        auditor.check_store(store)
         store.drop_list((widest + 1) % 6)
         auditor.check_store(store)
         assert store.splits > 0
@@ -389,3 +408,71 @@ class TestChaosCli:
         code = main(["--algorithm", "btc", "--family", "G4", "--scale", "8",
                      "--audit", "strict", "--quiet"])
         assert code == 0
+
+
+class TestEnvironmentSwitches:
+    """``REPRO_CHAOS``/``REPRO_AUDIT`` reach every command ``--chaos``/``--audit`` reach."""
+
+    RUN = ["--algorithm", "btc", "--family", "G4", "--scale", "8", "--quiet"]
+
+    def test_repro_chaos_arms_the_plan_at_jobs_1(self, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_CHAOS", "corrupt-read,after=1")
+        code = main(self.RUN)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error: CorruptPageReadError" in err
+        assert "injected faults (fired/opportunities)" in err
+        assert "Traceback" not in err
+
+    def test_repro_chaos_reaches_run_all_at_jobs_1(self, monkeypatch, capsys):
+        from repro.experiments import run_all
+
+        monkeypatch.setenv("REPRO_CHAOS", "crash-unit,p=1")
+        code = run_all.main(["--profile", "smoke", "--only", "figure11",
+                             "--jobs", "1", "--no-file"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "nan" in captured.out
+        assert "InjectedCrashError" in captured.err
+
+    def test_repro_chaos_reaches_serve(self, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_CHAOS", "index-rebuild-crash,p=1")
+        main(["serve", "--family", "G4", "--scale", "8", "--engine", "fast",
+              "--self-check", "10"])
+        captured = capsys.readouterr()
+        assert "state=unready" in captured.out
+        assert "initial index build failed" in captured.err
+
+    def test_misspelt_repro_chaos_fails_at_start(self, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_CHAOS", "corupt-read,after=1")
+        code = main(self.RUN)
+        err = capsys.readouterr().err
+        assert code == 1
+        (line,) = err.splitlines()
+        assert line.startswith("error: ConfigurationError: REPRO_CHAOS=")
+        assert "'corupt-read'" in line and "valid faults: " in line
+
+    def test_misspelt_repro_audit_fails_at_start(self, monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_AUDIT", "strcit")
+        code = main(self.RUN)
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""  # no unit ran
+        (line,) = captured.err.splitlines()
+        assert line.startswith("error: ConfigurationError: REPRO_AUDIT='strcit'")
+        assert "off, cheap, strict" in line
+
+    @pytest.mark.parametrize("variable, value", [("REPRO_AUDIT", "strcit"),
+                                                 ("REPRO_CHAOS", "corupt-read,after=1"),
+                                                 ("REPRO_ENGINE", "fsat")])
+    def test_run_all_refuses_a_misspelt_switch_with_exit_2(self, monkeypatch, capsys,
+                                                           variable, value):
+        from repro.experiments import run_all
+
+        monkeypatch.setenv(variable, value)
+        code = run_all.main(["--profile", "smoke", "--only", "table2", "--no-file"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"error: ConfigurationError: {variable}=")

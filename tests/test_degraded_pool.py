@@ -11,7 +11,6 @@ An unstructured crash (KeyError, RecursionError, ...) is a bug.
 
 import pytest
 
-from repro.chaos.audit import set_audit_mode
 from repro.core.query import Query, SystemConfig
 from repro.core.registry import ALGORITHM_NAMES, make_algorithm
 from repro.errors import ReproError
@@ -20,11 +19,9 @@ from conftest import oracle_closure
 
 
 @pytest.fixture(autouse=True)
-def strict_audit():
+def strict_audit(monkeypatch):
     """The battery doubles as an invariant stress test."""
-    set_audit_mode("strict")
-    yield
-    set_audit_mode(None)
+    monkeypatch.setenv("REPRO_AUDIT", "strict")
 
 
 def _check(algorithm_name, graph, buffer_pages, query=None):

@@ -30,11 +30,7 @@ from repro.core.registry import make_algorithm
 from repro.errors import EngineCapabilityError
 from repro.graphs.datasets import build_graph
 from repro.obs.record import io_stats_dict, system_config_dict
-from repro.storage.engine import (
-    CAP_PAGE_COSTS,
-    CAP_PINNING,
-    make_engine,
-)
+from repro.storage.engine import make_engine
 from repro.storage.fast import FastEngine
 from repro.storage.paged import PagedEngine
 
@@ -167,7 +163,7 @@ class TestEngineSeamBehaviour:
 
         engine = make_engine(system, _graph(), metrics=MetricSet())
         assert isinstance(engine, PagedEngine)
-        assert engine.supports(CAP_PAGE_COSTS) and engine.supports(CAP_PINNING)
+        assert engine.paged is True
 
     def test_fast_engine_reports_missing_capabilities(self):
         from repro.metrics.counters import MetricSet
@@ -175,9 +171,17 @@ class TestEngineSeamBehaviour:
         system = SystemConfig(buffer_pages=10, engine="fast")
         engine = make_engine(system, _graph(), metrics=MetricSet())
         assert isinstance(engine, FastEngine)
-        assert not engine.supports(CAP_PAGE_COSTS)
-        with pytest.raises(EngineCapabilityError, match="fast"):
-            engine.require(CAP_PAGE_COSTS)
+        assert engine.paged is False
+
+    def test_fast_engine_refuses_an_explicit_audit(self, monkeypatch):
+        system = SystemConfig(engine="fast")
+        monkeypatch.setenv("REPRO_AUDIT", "cheap")
+        with pytest.raises(EngineCapabilityError, match="'audit'") as excinfo:
+            make_algorithm("btc").run(_graph(), Query.full(), system)
+        assert "'fast'" in str(excinfo.value)
+        monkeypatch.setenv("REPRO_AUDIT", "off")
+        result = make_algorithm("btc").run(_graph(), Query.full(), system)
+        assert result.metrics.total_io == 0
 
     def test_paged_default_is_omitted_from_records(self):
         # RunRecords (and sweep-journal cell keys) written with the

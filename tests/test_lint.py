@@ -242,20 +242,22 @@ class TestCapabilityGuards:
         """
         findings = run(source, CapabilityGuardRule())
         assert codes(findings) == ["RPL004"]
-        assert "CAP_PAGE_COSTS" in findings[0].message
+        assert "touch_page()" in findings[0].message
+        assert "engine.paged" in findings[0].message
 
     def test_direct_supports_guard_is_allowed(self):
         source = """\
-            def f(engine):
-                if engine.supports(CAP_PAGE_COSTS):
-                    engine.touch_page(1, 2)
+            def f(ctx):
+                if ctx.engine.paged:
+                    ctx.engine.touch_page(1, 2)
+                ctx.engine.probe_arcs_unclustered(3, 4) if ctx.engine.paged else None
         """
         assert run(source, CapabilityGuardRule()) == []
 
     def test_flag_variable_guard_is_allowed(self):
         source = """\
             def f(engine):
-                charged = engine.supports(CAP_PAGE_COSTS)
+                charged = engine.paged
                 if charged:
                     engine.create_page(1, 2)
         """
@@ -264,7 +266,7 @@ class TestCapabilityGuards:
     def test_flag_guard_traced_into_closure(self):
         source = """\
             def f(engine):
-                charged = engine.supports(CAP_PAGE_COSTS)
+                charged = engine.paged
 
                 def touch(row):
                     if not charged:
@@ -276,17 +278,9 @@ class TestCapabilityGuards:
     def test_early_exit_guard_is_allowed(self):
         source = """\
             def f(engine):
-                if not engine.supports(CAP_PAGE_COSTS):
+                if not engine.paged:
                     return
                 engine.flush_output([])
-        """
-        assert run(source, CapabilityGuardRule()) == []
-
-    def test_require_dominates_later_calls(self):
-        source = """\
-            def f(engine):
-                engine.require(CAP_PINNING)
-                engine.pin_page(1)
         """
         assert run(source, CapabilityGuardRule()) == []
 
@@ -297,7 +291,40 @@ class TestCapabilityGuards:
         """
         findings = run(source, CapabilityGuardRule())
         assert codes(findings) == ["RPL004"]
-        assert "CAP_PINNING" in findings[0].message
+        assert "unpin_page()" in findings[0].message
+
+    def test_paged_on_another_receiver_is_no_guard(self):
+        source = """\
+            def f(engine, config):
+                if config.paged:
+                    engine.pin_page(1)
+                flag = config.paged
+                if not flag:
+                    return
+                engine.unpin_page(1)
+        """
+        findings = run(source, CapabilityGuardRule())
+        assert codes(findings) == ["RPL004", "RPL004"]
+
+    def test_guards_of_the_old_spelling_no_longer_count(self):
+        source = """\
+            def f(engine):
+                if engine.supports(CAP_PAGE_COSTS):
+                    engine.touch_page(1, 2)
+                engine.require(CAP_PINNING)
+                engine.pin_page(1)
+        """
+        findings = run(source, CapabilityGuardRule())
+        assert codes(findings) == ["RPL004", "RPL004"]
+
+    def test_guard_after_the_call_does_not_dominate_it(self):
+        source = """\
+            def f(engine):
+                engine.flush_output([])
+                if not engine.paged:
+                    return
+        """
+        assert codes(run(source, CapabilityGuardRule())) == ["RPL004"]
 
     def test_storage_package_itself_is_exempt(self):
         findings = lint_source(

@@ -26,7 +26,6 @@ from repro.experiments.parallel import (
     execute_unit,
     failed_metrics,
     get_engine,
-    run_cells,
     use_engine,
 )
 from repro.experiments.queries import QuerySpec

@@ -11,7 +11,6 @@ from repro.graphs.digraph import Digraph
 from repro.graphs.generator import generate_dag
 from repro.paths import (
     BOOLEAN,
-    MIN_PLUS,
     WeightedDigraph,
     bottleneck_capacities,
     critical_path_lengths,

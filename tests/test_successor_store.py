@@ -4,7 +4,7 @@ import pytest
 
 from repro.errors import StorageError
 from repro.storage.buffer import BufferPool
-from repro.storage.page import BLOCKS_PER_PAGE, SUCCESSORS_PER_PAGE, PageKind
+from repro.storage.page import BLOCKS_PER_PAGE, SUCCESSORS_PER_PAGE, PageId, PageKind
 from repro.storage.successor_store import ListPlacementPolicy, SuccessorListStore
 
 
@@ -38,13 +38,14 @@ class TestCreation:
         assert store.page_count(0) == 1
         store.create_list(1, 1)
         # The full page has no free blocks; the new list opens page 2.
-        assert store.total_pages == 2
+        assert store.pages_of(1) == [PageId(PageKind.SUCCESSOR, 1)]
 
     def test_small_lists_share_a_page(self):
         store, _pool = make_store()
         for node in range(BLOCKS_PER_PAGE):
             store.create_list(node, 1)  # one block each
-        assert store.total_pages == 1
+        for node in range(BLOCKS_PER_PAGE):
+            assert store.pages_of(node) == [PageId(PageKind.SUCCESSOR, 0)]
 
     def test_creation_charges_no_reads(self):
         store, pool = make_store()
@@ -98,8 +99,7 @@ class TestAppends:
         store, _pool = make_store()
         store.create_list(0, 10)  # one block, 5 slots left
         store.append(0, 5)
-        assert store.page_count(0) == 1
-        assert store.total_pages == 1
+        assert store.pages_of(0) == [PageId(PageKind.SUCCESSOR, 0)]
 
     def test_move_self_split_spills_to_new_page(self):
         store, _pool = make_store(policy=ListPlacementPolicy.MOVE_SELF)
@@ -142,13 +142,6 @@ class TestAppends:
 
 
 class TestRewriteAndDrop:
-    def test_rewrite_replaces_layout(self):
-        store, _pool = make_store()
-        store.create_list(0, 700)
-        store.rewrite_list(0, 10)
-        assert store.length(0) == 10
-        assert store.page_count(0) == 1
-
     def test_drop_frees_blocks_for_reuse(self):
         store, _pool = make_store()
         store.create_list(0, SUCCESSORS_PER_PAGE)
@@ -158,15 +151,6 @@ class TestRewriteAndDrop:
         # An implementation may or may not reuse freed space, but the
         # dropped list must be gone.
         assert store.length(1) == 5
-
-    def test_block_index_of_entry(self):
-        store, _pool = make_store()
-        store.create_list(0, 40)
-        assert store.block_index_of_entry(0, 0) == 0
-        assert store.block_index_of_entry(0, 14) == 0
-        assert store.block_index_of_entry(0, 15) == 1
-        with pytest.raises(StorageError):
-            store.block_index_of_entry(0, 40)
 
 
 class TestClustering:

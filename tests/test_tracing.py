@@ -51,7 +51,7 @@ def _graph():
 
 
 def _traced_run(name, graph):
-    collector = TraceCollector(label=name)
+    collector = TraceCollector()
     recorder = SpanRecorder(collector=collector)
     result = make_algorithm(name).run(
         graph, Query.full(), SYSTEM, recorder=recorder, collector=collector
@@ -171,7 +171,7 @@ class TestRingOverflow:
 
 class TestChromeExport:
     def _sections(self):
-        collector = TraceCollector(label="demo")
+        collector = TraceCollector()
         collector.span_begin("run")
         collector.emit("page.fetch", "relation", 3, detail="x")
         collector.phase = "compute"
