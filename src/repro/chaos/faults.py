@@ -33,7 +33,7 @@ slow-handler           serve request handler          handler awaits ``ms``
                                                       pressure)
 cancelled-request      serve request handler          cancels the in-flight
                                                       request mid-handler
-index-rebuild-crash    serve index (re)build          raises
+index-rebuild-crash    serve index build attempt      raises
                                                       ``InjectedRebuildError``
 =====================  =============================  ==========================
 

@@ -26,7 +26,7 @@ Examples::
     python -m repro ingest soc-Epinions1.txt.gz --stats \\
         --build-index --engine fast --probes 1000
 
-    # Serve reachability queries over HTTP with graceful degradation
+    # Serve reachability queries over HTTP with deadlines and load shedding
     python -m repro serve --family G4 --scale 4 --engine fast --port 8642
     python -m repro serve --family G4 --scale 4 --self-check 200
 
@@ -51,6 +51,7 @@ import os
 import sys
 import time
 from collections.abc import Iterable, Sequence
+from contextlib import ExitStack
 from typing import TYPE_CHECKING
 
 from repro.baselines import BASELINE_NAMES
@@ -210,11 +211,12 @@ def _run_command(args: argparse.Namespace) -> int:
         if value < 1:
             print(f"error: {flag} must be >= 1", file=sys.stderr)
             return 2
-    # No retry: a single query must fail on its first injury.
+    # No retry: a single query must fail on its first injury.  The planes
+    # stay armed while the units run and are disarmed on every way out.
     with ExperimentEngine(jobs=args.jobs, timeout=args.timeout, retries=0,
-                          reps=args.reps) as engine:
+                          reps=args.reps) as engine, ExitStack() as planes:
         try:
-            plan = arm_planes(args.chaos, args.audit)
+            plan = planes.enter_context(arm_planes(args.chaos, args.audit))
             graph_spec, query_spec = _workload_specs(args)
             graph = engine.graph(graph_spec)
             query = query_spec.materialise(graph, seed=args.seed)
@@ -277,7 +279,9 @@ def _run_command(args: argparse.Namespace) -> int:
                 "cpu_s": round(metrics.cpu_seconds, 3),
             }
         )
-    if engine.failures and plan is not None:
+    # At --jobs > 1 the faults fire in the workers, whose counts this
+    # process's plan never sees: print its summary only when it saw them.
+    if engine.failures and plan is not None and not engine.parallel:
         print(plan.summary(), file=sys.stderr)
     if sink is not None:
         sink.close()
@@ -523,10 +527,10 @@ def _serve_parser() -> argparse.ArgumentParser:
         prog="repro serve",
         description="Serve reachable(u, v) / successors(u) / batch queries "
         "over HTTP (TCP or a UNIX-domain socket) from a frozen chain "
-        "index built once at startup, with per-request deadlines, bounded "
-        "admission with load shedding, and breaker-guarded degradation to "
-        "the last-good index (see docs/ROBUSTNESS.md, 'Serving and "
-        "degradation modes').",
+        "index built once at startup (a failed build is retried, and the "
+        "server starts unready if it keeps failing), with per-request "
+        "deadlines and bounded admission with load shedding (see "
+        "docs/ROBUSTNESS.md, 'Serving and degradation modes').",
     )
     _add_workload_args(parser)
     _add_system_args(parser)
@@ -550,14 +554,8 @@ def _serve_parser() -> argparse.ArgumentParser:
     service.add_argument("--max-wait-ms", type=float, default=250.0,
                          help="estimated-wait budget before shedding "
                          "(default 250)")
-    service.add_argument("--breaker-threshold", type=int, default=3,
-                         help="consecutive build failures that trip the "
-                         "circuit breaker (default 3)")
-    service.add_argument("--breaker-reset", type=float, default=2.0,
-                         help="breaker cool-down seconds before a rebuild "
-                         "probe (default 2)")
     service.add_argument("--build-retries", type=int, default=2,
-                         help="retried attempts per index (re)build "
+                         help="retried attempts of the start-up index build "
                          "(default 2)")
     checks = parser.add_argument_group("checks")
     checks.add_argument("--self-check", type=int, default=None, metavar="N",
@@ -587,34 +585,34 @@ def _serve_command(args: argparse.Namespace) -> int:
     from repro.experiments.parallel import arm_planes
     from repro.serve.service import ReachabilityService, ServeConfig
 
-    try:
-        arm_planes(args.chaos)
-        graph_spec, query_spec = _workload_specs(args)
-        graph = graph_spec.build()
-        sources = query_spec.draw_sources(graph, seed=args.seed)
-        config = _system_config(args)
-        serve_config = ServeConfig(
-            deadline_ms=args.deadline_ms,
-            max_concurrency=args.max_concurrency,
-            max_queue=args.max_queue,
-            max_wait_ms=args.max_wait_ms,
-            breaker_threshold=args.breaker_threshold,
-            breaker_reset_s=args.breaker_reset,
-            build_retries=args.build_retries,
-        )
-    except Exception as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+    # The planes stay armed while the service runs.
+    with ExitStack() as planes:
+        try:
+            planes.enter_context(arm_planes(args.chaos))
+            graph_spec, query_spec = _workload_specs(args)
+            graph = graph_spec.build()
+            sources = query_spec.draw_sources(graph, seed=args.seed)
+            config = _system_config(args)
+            serve_config = ServeConfig(
+                deadline_ms=args.deadline_ms,
+                max_concurrency=args.max_concurrency,
+                max_queue=args.max_queue,
+                max_wait_ms=args.max_wait_ms,
+                build_retries=args.build_retries,
+            )
+        except Exception as exc:
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 1
 
-    probes = _parse_probes(args.probe, graph)
-    if probes is None:
-        return 2
+        probes = _parse_probes(args.probe, graph)
+        if probes is None:
+            return 2
 
-    service = ReachabilityService(graph, sources, config, serve_config)
-    try:
-        code = asyncio.run(_serve_main(args, graph, service, probes))
-    except KeyboardInterrupt:
-        return 0
+        service = ReachabilityService(graph, sources, config, serve_config)
+        try:
+            code = asyncio.run(_serve_main(args, graph, service, probes))
+        except KeyboardInterrupt:
+            return 0
     # Emitted here, after the event loop has exited: JsonlSink fsyncs
     # every record, and a synchronous fsync inside an async handler
     # stalls the whole loop (RPL009).

@@ -139,9 +139,10 @@ class InjectedCrashError(InjectedFaultError):
 
 
 class InjectedRebuildError(InjectedFaultError):
-    """An injected crash inside the serve layer's index (re)build.
+    """An injected crash inside one attempt of the serve layer's index build.
 
-    Drives the serve circuit breaker in chaos tests: repeated rebuild
-    crashes must trip the breaker and route queries to the last-good
-    frozen index instead of surfacing to clients.
+    Drives the start-up build's retry loop in chaos tests: a transient
+    crash must be retried, and a build that keeps crashing must leave
+    the service ``unready`` (queries get a structured 503), never
+    surface to clients as a wrong answer or a traceback.
     """

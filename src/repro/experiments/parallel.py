@@ -78,7 +78,14 @@ from typing import Any
 
 from repro.chaos.audit import ENV_AUDIT, audit_mode
 from repro.chaos.checkpoint import SweepJournal, cell_key
-from repro.chaos.faults import ENV_CHAOS, FaultKind, FaultPlan, active_plan, arm_from_env
+from repro.chaos.faults import (
+    ENV_CHAOS,
+    FaultKind,
+    FaultPlan,
+    active_plan,
+    arm_from_env,
+    set_fault_plan,
+)
 from repro.core.base import TwoPhaseAlgorithm
 from repro.core.query import SystemConfig
 from repro.core.result import ClosureResult
@@ -276,22 +283,41 @@ def _worker_init() -> None:
     arm_from_env()
 
 
+@contextmanager
 def arm_planes(chaos: str | None = None, audit: str | None = None,
-               engine: str | None = None) -> FaultPlan | None:
-    """Export the plane flags, then check and arm every ``REPRO_*`` switch.
+               engine: str | None = None) -> Iterator[FaultPlan | None]:
+    """Export the plane flags, check and arm every ``REPRO_*`` switch.
 
     Each environment variable is its plane's one switch, read the same
     way by this process and by every pool worker (:func:`_worker_init`);
     ``--chaos``, ``--audit`` and ``run_all --engine`` only export it.  A
     misspelt value raises :class:`~repro.errors.ConfigurationError`
-    here, before any unit runs.
+    on entry, before any unit runs.  Yields the armed plan.
+
+    A command holds the scope for its whole run, so a pool started
+    inside it inherits the flags.  On exit each variable it set gets
+    its old value back (or is unset again), and the plan armed before
+    is re-armed: :func:`arm_from_env` does not disarm when the variable
+    is unset, so restoring the variable alone would leave this
+    command's plan armed in the next one.
     """
-    for value, variable in ((chaos, ENV_CHAOS), (audit, ENV_AUDIT), (engine, ENV_ENGINE)):
-        if value:
-            os.environ[variable] = value
-    default_engine()
-    audit_mode()
-    return arm_from_env()
+    previous_plan = active_plan()
+    saved: dict[str, str | None] = {}
+    try:
+        for value, variable in ((chaos, ENV_CHAOS), (audit, ENV_AUDIT), (engine, ENV_ENGINE)):
+            if value:
+                saved[variable] = os.environ.get(variable)
+                os.environ[variable] = value
+        default_engine()
+        audit_mode()
+        yield arm_from_env()
+    finally:
+        for variable, old in saved.items():
+            if old is None:
+                os.environ.pop(variable, None)
+            else:
+                os.environ[variable] = old
+        set_fault_plan(previous_plan)
 
 
 def _cached_graph(spec: GraphSpec, cache: dict[GraphSpec, Digraph]) -> Digraph:

@@ -39,6 +39,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from contextlib import ExitStack
 
 from repro.chaos.audit import AUDIT_MODES
 from repro.chaos.checkpoint import SweepJournal
@@ -113,69 +114,74 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--jobs must be >= 1")
     profile = get_profile(args.profile)
 
-    try:
-        # The figure/table builders' SystemConfigs resolve the exported
-        # REPRO_ENGINE, in every process, without touching a call site.
-        plan = arm_planes(args.chaos, args.audit, args.engine)
-        journal = SweepJournal(args.resume) if args.resume else None
-    except (ReproError, ValueError) as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
+    # The planes stay armed for the whole sweep (its pool inherits them)
+    # and are disarmed on every way out.
+    with ExitStack() as planes:
+        try:
+            # The figure/table builders' SystemConfigs resolve the exported
+            # REPRO_ENGINE, in every process, without touching a call site.
+            plan = planes.enter_context(arm_planes(args.chaos, args.audit, args.engine))
+            journal = SweepJournal(args.resume) if args.resume else None
+        except (ReproError, ValueError) as exc:
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 2
 
-    experiments: dict[str, object] = {}
-    experiments.update(_TABLES)
-    experiments.update(ALL_FIGURES)
-    selected = args.only if args.only else list(experiments)
-    unknown = [name for name in selected if name not in experiments]
-    if unknown:
-        parser.error(f"unknown experiments: {', '.join(unknown)}")
+        experiments: dict[str, object] = {}
+        experiments.update(_TABLES)
+        experiments.update(ALL_FIGURES)
+        selected = args.only if args.only else list(experiments)
+        unknown = [name for name in selected if name not in experiments]
+        if unknown:
+            parser.error(f"unknown experiments: {', '.join(unknown)}")
 
-    sections = [f"# Reproduction run, profile={profile.name} "
-                f"(n={profile.num_nodes}, {profile.graphs_per_family} graphs/family, "
-                f"{profile.source_samples} source samples)"]
-    print(sections[0], flush=True)
-    engine = ExperimentEngine(jobs=args.jobs, timeout=args.timeout,
-                              checkpoint=journal)
-    try:
-        with engine, use_engine(engine):
-            for name in selected:
-                start = time.perf_counter()
-                runner = experiments[name]
-                if name in _TABLES:
-                    text = runner(profile)
-                else:
-                    text = _render_figure(runner(profile))
-                elapsed = time.perf_counter() - start
-                sections.append(f"## {name}\n{text}")
-                print(f"## {name}  ({elapsed:.1f}s)\n{text}", flush=True)
-    except ReproError as exc:
-        # Injected faults and invariant violations surface here as
-        # structured errors -- never as a traceback.
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        if plan is not None:
-            print(plan.summary(), file=sys.stderr)
+        sections = [f"# Reproduction run, profile={profile.name} "
+                    f"(n={profile.num_nodes}, {profile.graphs_per_family} graphs/family, "
+                    f"{profile.source_samples} source samples)"]
+        print(sections[0], flush=True)
+        engine = ExperimentEngine(jobs=args.jobs, timeout=args.timeout,
+                                  checkpoint=journal)
+        try:
+            with engine, use_engine(engine):
+                for name in selected:
+                    start = time.perf_counter()
+                    runner = experiments[name]
+                    if name in _TABLES:
+                        text = runner(profile)
+                    else:
+                        text = _render_figure(runner(profile))
+                    elapsed = time.perf_counter() - start
+                    sections.append(f"## {name}\n{text}")
+                    print(f"## {name}  ({elapsed:.1f}s)\n{text}", flush=True)
+        except ReproError as exc:
+            # Injected faults and invariant violations surface here as
+            # structured errors -- never as a traceback.
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            if plan is not None and not engine.parallel:
+                print(plan.summary(), file=sys.stderr)
+            if journal is not None:
+                print(journal.describe(), file=sys.stderr)
+            return 1
+
         if journal is not None:
-            print(journal.describe(), file=sys.stderr)
-        return 1
+            print(f"\n[{journal.describe()}]")
+        # At --jobs > 1 the faults fire in the workers, whose counts this
+        # process's plan never sees: print its summary only when it saw them.
+        if plan is not None and not engine.parallel:
+            print(f"[{plan.summary()}]", file=sys.stderr)
 
-    if journal is not None:
-        print(f"\n[{journal.describe()}]")
-    if plan is not None:
-        print(f"[{plan.summary()}]", file=sys.stderr)
+        if not args.no_file:
+            path = f"experiments_output_{profile.name}.txt"
+            with open(path, "w") as handle:
+                handle.write("\n\n".join(sections) + "\n")
+            print(f"\n[written to {path}]")
 
-    if not args.no_file:
-        path = f"experiments_output_{profile.name}.txt"
-        with open(path, "w") as handle:
-            handle.write("\n\n".join(sections) + "\n")
-        print(f"\n[written to {path}]")
-
-    if engine.failures:
-        print(f"\n{len(engine.failures)} work unit(s) failed; "
-              "affected cells are rendered as nan:", file=sys.stderr)
-        for failure in engine.failures:
-            print(f"  - {failure.render()}", file=sys.stderr)
-        return 1
-    return 0
+        if engine.failures:
+            print(f"\n{len(engine.failures)} work unit(s) failed; "
+                  "affected cells are rendered as nan:", file=sys.stderr)
+            for failure in engine.failures:
+                print(f"  - {failure.render()}", file=sys.stderr)
+            return 1
+        return 0
 
 
 if __name__ == "__main__":

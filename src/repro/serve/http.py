@@ -7,21 +7,21 @@ the tests, the benchmark, and ``repro serve --self-check``.
 
 Routes::
 
-    GET  /reachable?u=U&v=V[&deadline_ms=D]   -> {"reachable": bool, "degraded": bool}
-    GET  /successors?u=U[&deadline_ms=D]      -> {"successors": [...], "degraded": bool}
-    POST /batch                                -> {"results": [...], "degraded": bool}
+    GET  /reachable?u=U&v=V[&deadline_ms=D]   -> {"reachable": bool}
+    GET  /successors?u=U[&deadline_ms=D]      -> {"successors": [...]}
+    POST /batch[?deadline_ms=D]                -> {"results": [...]}
     GET  /healthz                              -> 200 always (liveness + component state)
-    GET  /readyz                               -> 200 "ready" | 503 "degraded" | 503 "unready"
+    GET  /readyz                               -> 200 "ready" | 503 "unready"
     GET  /stats                                -> telemetry snapshot
-    POST /refresh                              -> trigger one breaker-guarded rebuild
 
 Error contract -- every failure is a *structured* JSON answer, never a
 traceback and never a wrong value:
 
-* 400 -- malformed request (bad node id, bad JSON, unknown op; a
-  request line without a method and a target, a bad
-  ``Content-Length`` or a line over the reader's 64 KiB limit, after
-  which the connection is closed)
+* 400 -- malformed request (bad node id, a ``deadline_ms`` that is not
+  a finite number > 0, a batch body that is not UTF-8 JSON the decoder
+  can read, unknown op; a request line without a method and a target,
+  a bad ``Content-Length`` or a line over the reader's 64 KiB limit,
+  after which the connection is closed)
 * 404/405 -- unknown path / wrong method
 * 413 -- body over :data:`MAX_REQUEST_BYTES` (connection closed)
 * 431 -- more than :data:`MAX_HEADER_LINES` header lines (connection
@@ -29,7 +29,7 @@ traceback and never a wrong value:
 * 500 -- an unexpected error while answering (connection closed; the
   traceback goes to stderr)
 * 503 + ``Retry-After`` -- load shed by bounded admission
-* 503 -- no index available yet (initial build still failing)
+* 503 -- no index available (the start-up build failed)
 * 504 -- per-request deadline expired (queue wait counts against it)
 
 An injected ``cancelled-request`` fault aborts the one in-flight
@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import sys
 import time
 import traceback
@@ -96,6 +97,17 @@ class _RejectedRequest(InvalidRequestError):
 def _first(params: dict[str, list[str]], name: str) -> str | None:
     values = params.get(name)
     return values[0] if values else None
+
+
+def _parse_deadline(raw: str) -> float:
+    """The ``deadline_ms`` parameter; NaN or infinity would switch it off."""
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise InvalidRequestError(f"deadline_ms must be a finite number > 0, got {raw!r}")
+    return value
 
 
 class ServeServer:
@@ -288,9 +300,6 @@ class ServeServer:
             return (200 if state == "ready" else 503), {"state": state}, {}
         if path == "/stats":
             return 200, self.service.stats(), {}
-        if path == "/refresh" and method == "POST":
-            rebuilt = await self.service.build()
-            return 200, {"rebuilt": rebuilt, "state": self.service.state}, {}
 
         known_paths = {"/reachable", "/successors", "/batch"}
         if path not in known_paths:
@@ -309,15 +318,11 @@ class ServeServer:
         raw_deadline = _first(params, "deadline_ms")
         try:
             if raw_deadline is not None:
-                deadline_ms = float(raw_deadline)
-                if deadline_ms <= 0:
-                    raise InvalidRequestError(
-                        f"deadline_ms must be > 0, got {raw_deadline!r}"
-                    )
+                deadline_ms = _parse_deadline(raw_deadline)
             payload = await _within(
                 deadline_ms / 1e3, self._run_query(path, params, body, deadline_ms)
             )
-        except (InvalidNodeError, InvalidRequestError, json.JSONDecodeError) as exc:
+        except (InvalidNodeError, InvalidRequestError) as exc:
             service.telemetry.bump("invalid_requests")
             return 400, {"error": str(exc)}, {}
         except OverloadedError as exc:
@@ -333,8 +338,6 @@ class ServeServer:
             detail = str(exc) or f"deadline of {deadline_ms:g}ms expired"
             return 504, {"error": detail, "deadline_ms": deadline_ms}, {}
         service.telemetry.bump("answered")
-        if payload.get("degraded"):
-            service.telemetry.bump("degraded_answers")
         service.telemetry.observe_latency(time.perf_counter() - started)
         return 200, payload, {}
 
@@ -347,10 +350,15 @@ class ServeServer:
                 return await service.reachable(_first(params, "u"), _first(params, "v"))
             if path == "/successors":
                 return await service.successors(_first(params, "u"))
-            document = json.loads(body.decode() or "{}")
+            try:
+                document = json.loads(body.decode() or "{}")
+            except (ValueError, RecursionError) as exc:
+                # ValueError covers bad JSON, bytes that are not UTF-8
+                # and an integer over the interpreter's digit limit.
+                raise InvalidRequestError(f"batch body is not readable JSON: {exc}") from None
             if not isinstance(document, dict):
                 raise InvalidRequestError("batch body must be a JSON object")
-            deadline_at = service.clock() + deadline_ms / 1e3
+            deadline_at = time.monotonic() + deadline_ms / 1e3
             return await service.batch(document.get("queries", []), deadline_at)
 
 
@@ -468,8 +476,4 @@ class ServeClient:
 
     async def get(self, path: str) -> tuple[int, dict[str, Any]]:
         status, _, payload = await self.request("GET", path)
-        return status, payload
-
-    async def refresh(self) -> tuple[int, dict[str, Any]]:
-        status, _, payload = await self.request("POST", "/refresh")
         return status, payload

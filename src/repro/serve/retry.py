@@ -2,9 +2,9 @@
 
 Two retry loops use the exact same policy: the parallel experiment
 engine's unit retries (:mod:`repro.experiments.parallel`) and the serve
-layer's async index (re)build loop (:mod:`repro.serve.service`), which
-checks its circuit breaker between attempts.  Each loop is its own; what
-they share is one tested implementation of the delay formula::
+layer's async start-up build of the index (:mod:`repro.serve.service`).
+Each loop is its own; what they share is one tested implementation of
+the delay formula::
 
     delay(attempt) = base * 2**(attempt - 2) * (0.5 + rng.random())
 
@@ -33,8 +33,8 @@ class BackoffPolicy:
     ``delay(attempt)`` is the pause *before* retry ``attempt`` (>= 2);
     each call advances the policy's private jitter stream, exactly like
     the inline implementation this replaces.  ``max_delay`` optionally
-    caps the exponential growth (long-lived servers should not sleep
-    unboundedly between index rebuild attempts).
+    caps the exponential growth (a server should not sleep unboundedly
+    between index build attempts).
     """
 
     def __init__(

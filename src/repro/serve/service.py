@@ -19,19 +19,18 @@ robustness layer is the point:
   *immediately* with :class:`OverloadedError` carrying a
   ``Retry-After`` hint, so overload degrades into fast, honest 503s
   instead of collapse.
-* **Retried, breaker-guarded rebuilds.**  Index (re)builds run in a
-  worker thread (queries keep flowing), are retried with the shared
-  deterministic :class:`~repro.serve.retry.BackoffPolicy`, and sit
-  behind a :class:`~repro.serve.breaker.CircuitBreaker`.  While the
-  breaker is open, queries are served from the **last-good** index with
-  ``degraded: true`` (stale-while-revalidate); the breaker's cool-down
-  gates the next probe.
+* **One retried start-up build.**  The index is built once, in a
+  worker thread, and a failed attempt is retried with the shared
+  deterministic :class:`~repro.serve.retry.BackoffPolicy`.  The graph
+  is frozen, so there is nothing to rebuild afterwards: until a build
+  succeeds the service is ``unready`` and refuses queries with a
+  structured error, and from then on it is ``ready``.
 
 Answers are not memoised: an O(k) lookup in the frozen index costs
 less than checking and filling a result cache would, so every query
 is answered from the index itself.
 
-Telemetry (latency, queue depth, shed/retry/breaker counters) is kept
+Telemetry (latency, queue depth, shed/timeout/build counters) is kept
 per-service and exports both as a ``/stats`` snapshot and as a
 :class:`~repro.obs.record.RunRecord` for the existing obs pipeline.
 """
@@ -39,9 +38,10 @@ per-service and exports both as a ``/stats`` snapshot and as a
 from __future__ import annotations
 
 import asyncio
+import math
 import time
 from collections import deque
-from collections.abc import AsyncIterator, Callable
+from collections.abc import AsyncIterator
 from contextlib import asynccontextmanager
 from dataclasses import dataclass
 from typing import Any
@@ -52,7 +52,6 @@ from repro.core.query import SystemConfig
 from repro.errors import InjectedRebuildError, ReproError
 from repro.graphs.digraph import Digraph
 from repro.obs.record import RunRecord, system_config_dict
-from repro.serve.breaker import BreakerState, CircuitBreaker
 from repro.serve.retry import BackoffPolicy
 from repro.serve.validate import parse_node_id
 
@@ -97,30 +96,35 @@ class ServeConfig:
     max_wait_ms: float = 250.0
     """Shed when queue depth x observed mean latency exceeds this."""
 
-    breaker_threshold: int = 3
-    """Consecutive failed build attempts that trip the breaker."""
-
-    breaker_reset_s: float = 2.0
-    """Cool-down before a half-open rebuild probe is allowed."""
-
     build_retries: int = 2
-    """Retried attempts per rebuild request (on top of the first try)."""
+    """Retried attempts of the start-up build (on top of the first try)."""
 
     backoff_base_s: float = 0.05
-    """Base of the shared jittered exponential rebuild backoff."""
+    """Base of the shared jittered exponential build backoff."""
 
     backoff_max_s: float = 2.0
-    """Cap on any single rebuild backoff sleep."""
+    """Cap on any single build backoff sleep."""
 
     def __post_init__(self) -> None:
-        if self.deadline_ms <= 0:
-            raise ValueError(f"deadline_ms must be > 0, got {self.deadline_ms}")
+        # A "<= 0" check lets NaN through (NaN fails every comparison)
+        # and infinity passes any lower bound; either switches its
+        # bound off, so both are refused.
+        if not (math.isfinite(self.deadline_ms) and self.deadline_ms > 0):
+            raise ValueError(
+                f"deadline_ms must be finite and > 0, got {self.deadline_ms}"
+            )
         if self.max_concurrency < 1:
             raise ValueError(
                 f"max_concurrency must be >= 1, got {self.max_concurrency}"
             )
         if self.max_queue < 0:
             raise ValueError(f"max_queue must be >= 0, got {self.max_queue}")
+        if not (math.isfinite(self.max_wait_ms) and self.max_wait_ms >= 0):
+            raise ValueError(
+                f"max_wait_ms must be finite and >= 0, got {self.max_wait_ms}"
+            )
+        if self.build_retries < 0:
+            raise ValueError(f"build_retries must be >= 0, got {self.build_retries}")
 
 
 class ServeTelemetry:
@@ -129,7 +133,6 @@ class ServeTelemetry:
     COUNTERS = (
         "requests",
         "answered",
-        "degraded_answers",
         "shed",
         "deadline_timeouts",
         "cancelled",
@@ -139,7 +142,6 @@ class ServeTelemetry:
         "rebuilds",
         "rebuild_failures",
         "rebuild_retries",
-        "breaker_refusals",
     )
 
     def __init__(self, latency_window: int = 65536) -> None:
@@ -200,7 +202,7 @@ class ServeTelemetry:
 
 
 class ReachabilityService:
-    """Queries over a breaker-guarded frozen index."""
+    """Queries over a frozen index built once."""
 
     def __init__(
         self,
@@ -208,19 +210,11 @@ class ReachabilityService:
         sources: list[int] | None = None,
         system: SystemConfig | None = None,
         config: ServeConfig | None = None,
-        *,
-        clock: Callable[[], float] = time.monotonic,
     ) -> None:
         self.graph = graph
         self.sources = list(sources) if sources is not None else None
         self.system = system if system is not None else SystemConfig()
         self.config = config if config is not None else ServeConfig()
-        self.clock = clock
-        self.breaker = CircuitBreaker(
-            threshold=self.config.breaker_threshold,
-            reset_after=self.config.breaker_reset_s,
-            clock=clock,
-        )
         self.telemetry = ServeTelemetry()
         self.backoff = BackoffPolicy(
             base=self.config.backoff_base_s, max_delay=self.config.backoff_max_s
@@ -235,15 +229,15 @@ class ReachabilityService:
 
     @property
     def index(self) -> ChainIndex | None:
-        """The current (possibly stale-but-last-good) frozen index."""
+        """The frozen index, or ``None`` until a build succeeds."""
         return self._index
 
     def _build_index_sync(self) -> ChainIndex:
         """One build attempt (runs in a worker thread).
 
         This is the ``index-rebuild-crash`` chaos site: an armed plan
-        can crash any attempt, which is what drives the retry loop and
-        the breaker in the chaos suite.
+        can crash any attempt, which is what drives the retry loop in
+        the chaos suite.
         """
         plan = active_plan()
         if plan is not None:
@@ -256,17 +250,14 @@ class ReachabilityService:
         return build_chain_index(self.graph, self.sources, self.system)
 
     async def build(self) -> bool:
-        """One breaker-guarded, retried (re)build; ``True`` on success.
+        """One retried build of the index; ``True`` on success.
 
-        Runs in a worker thread so in-flight queries keep being served
-        from the last-good index while the build is in progress
-        (stale-while-revalidate).  Never raises: failures feed the
-        breaker and leave the previous index in place.
+        Each attempt runs in a worker thread, so the event loop is not
+        blocked while the index is built.  Never raises: a failure is
+        recorded in :attr:`last_build_error` and leaves the service as
+        it was.
         """
         async with self._build_lock:
-            if not self.breaker.allow():
-                self.telemetry.bump("breaker_refusals")
-                return False
             loop = asyncio.get_running_loop()
             attempt = 1
             while True:
@@ -274,16 +265,14 @@ class ReachabilityService:
                     index = await loop.run_in_executor(None, self._build_index_sync)
                 except Exception as exc:
                     self.telemetry.bump("rebuild_failures")
-                    self.breaker.record_failure()
                     self.last_build_error = f"{type(exc).__name__}: {exc}"
-                    if attempt > self.config.build_retries or not self.breaker.allow():
+                    if attempt > self.config.build_retries:
                         return False
                     attempt += 1
                     self.telemetry.bump("rebuild_retries")
                     await asyncio.sleep(self.backoff.delay(attempt))
                 else:
                     self._index = index
-                    self.breaker.record_success()
                     self.telemetry.bump("rebuilds")
                     self.last_build_error = None
                     return True
@@ -291,16 +280,9 @@ class ReachabilityService:
     # -- health ---------------------------------------------------------------
 
     @property
-    def degraded(self) -> bool:
-        """Serving from the last-good index while rebuilds are failing."""
-        return self._index is not None and self.breaker.state is not BreakerState.CLOSED
-
-    @property
     def state(self) -> str:
-        """``ready`` / ``degraded`` / ``unready`` (what ``/readyz`` reports)."""
-        if self._index is None:
-            return "unready"
-        return "degraded" if self.degraded else "ready"
+        """``ready`` once an index is built, ``unready`` before (``/readyz``)."""
+        return "unready" if self._index is None else "ready"
 
     @property
     def queue_depth(self) -> int:
@@ -312,7 +294,6 @@ class ReachabilityService:
         return {
             "status": "ok",
             "state": self.state,
-            "breaker": self.breaker.snapshot(),
             "index": None
             if self._index is None
             else {
@@ -392,19 +373,19 @@ class ReachabilityService:
         return index
 
     async def reachable(self, u: object, v: object) -> dict[str, Any]:
-        """One ``reachable(u, v)`` answer with the ``degraded`` flag."""
+        """One ``reachable(u, v)`` answer."""
         index = self._require_index()
         src = parse_node_id(u, index.num_nodes, name="u")
         dst = parse_node_id(v, index.num_nodes, name="v")
         await self._handler_faults()
-        return {"reachable": bool(index.reachable(src, dst)), "degraded": self.degraded}
+        return {"reachable": bool(index.reachable(src, dst))}
 
     async def successors(self, u: object) -> dict[str, Any]:
-        """All nodes reachable from ``u`` plus the ``degraded`` flag."""
+        """All nodes reachable from ``u``."""
         index = self._require_index()
         src = parse_node_id(u, index.num_nodes, name="u")
         await self._handler_faults()
-        return {"successors": list(index.successors(src)), "degraded": self.degraded}
+        return {"successors": list(index.successors(src))}
 
     async def batch(
         self, queries: list[dict[str, Any]], deadline_at: float | None = None
@@ -419,7 +400,7 @@ class ReachabilityService:
             raise InvalidRequestError("batch body must carry a 'queries' list")
         results: list[dict[str, Any]] = []
         for position, query in enumerate(queries):
-            if deadline_at is not None and self.clock() > deadline_at:
+            if deadline_at is not None and time.monotonic() > deadline_at:
                 raise DeadlineExceededError(
                     f"deadline expired after {position} of {len(queries)} "
                     f"batch items"
@@ -442,19 +423,18 @@ class ReachabilityService:
                     f"batch item {position}: unknown op {op!r} "
                     f"(valid ops: reachable, successors)"
                 )
-        return {"results": results, "degraded": self.degraded}
+        return {"results": results}
 
     # -- telemetry export -----------------------------------------------------
 
     def stats(self) -> dict[str, Any]:
-        """The ``/stats`` body: telemetry + breaker + queue."""
+        """The ``/stats`` body: telemetry + queue + state."""
         return {
             **self.telemetry.snapshot(),
             "queue_depth": self.queue_depth,
             # No result cache: zeroed counters keep the snapshot's shape
             # for its readers (perfbench/serve_zipf.py --trace 1).
             "cache": {"hits": 0, "misses": 0, "evictions": 0},
-            "breaker": self.breaker.snapshot(),
             "state": self.state,
         }
 

@@ -50,11 +50,6 @@ def clean_chaos(monkeypatch):
     monkeypatch.delenv("REPRO_AUDIT", raising=False)
     set_fault_plan(None)
     yield
-    # The CLIs export --chaos/--audit as REPRO_CHAOS/REPRO_AUDIT; pop
-    # them explicitly -- monkeypatch.delenv on an *unset* variable
-    # records nothing, so it would not undo that export.
-    os.environ.pop("REPRO_CHAOS", None)
-    os.environ.pop("REPRO_AUDIT", None)
     set_fault_plan(None)
 
 
@@ -423,6 +418,39 @@ class TestEnvironmentSwitches:
         assert "error: CorruptPageReadError" in err
         assert "injected faults (fired/opportunities)" in err
         assert "Traceback" not in err
+
+    def test_no_plan_summary_at_jobs_2(self, capsys):
+        """The faults fire in the workers; this process's plan saw none of them."""
+        code = main([*self.RUN, "--jobs", "2", "--chaos", "corrupt-read,after=1"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "error: CorruptPageReadError" in err
+        assert "0/0" not in err
+
+    @staticmethod
+    def assert_planes_disarmed():
+        for variable in ("REPRO_CHAOS", "REPRO_AUDIT", "REPRO_ENGINE"):
+            assert variable not in os.environ
+        assert active_plan() is None
+
+    def test_a_commands_flags_do_not_outlive_it(self, monkeypatch, capsys):
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        assert main([*self.RUN, "--chaos", "corrupt-read,after=1",
+                     "--audit", "strict"]) == 1
+        self.assert_planes_disarmed()
+        assert main(self.RUN) == 0
+        self.assert_planes_disarmed()
+
+    def test_a_sweeps_flags_do_not_outlive_it(self, monkeypatch, capsys):
+        from repro.experiments import run_all
+
+        monkeypatch.delenv("REPRO_ENGINE", raising=False)
+        sweep = ["--profile", "smoke", "--only", "figure11", "--jobs", "1", "--no-file"]
+        assert run_all.main([*sweep, "--chaos", "crash-unit,p=1",
+                             "--engine", "paged"]) == 1
+        self.assert_planes_disarmed()
+        assert run_all.main(sweep) == 0
+        self.assert_planes_disarmed()
 
     def test_repro_chaos_reaches_run_all_at_jobs_1(self, monkeypatch, capsys):
         from repro.experiments import run_all

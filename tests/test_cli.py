@@ -400,6 +400,13 @@ class TestServeCommand:
                      "--self-check", "1"]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_non_finite_deadline_exits_one_with_one_error_line(self, capsys):
+        assert main([*self.WORKLOAD, "--deadline-ms", "nan",
+                     "--self-check", "20"]) == 1
+        err = capsys.readouterr().err
+        (line,) = err.splitlines()
+        assert line.startswith("error: ValueError: deadline_ms must be finite")
+
     def test_probe_mode_emits_serve_run_record(self, tmp_path, capsys):
         """Regression: the run record survives the RPL009 fix.
 

@@ -1,10 +1,10 @@
 """Tests for the resilient serve layer (no chaos; see test_serve_chaos).
 
 Covers the shared backoff policy (including behaviour-identity with the
-experiment engine's old inline implementation), the circuit breaker,
+experiment engine's old inline implementation), the config bounds,
 request validation, the latency window behind admission, the service's
-admission/deadline/degradation behaviour, and the HTTP front end over
-both TCP and UNIX-domain sockets, including malformed raw requests.
+build/admission/deadline behaviour, and the HTTP front end over both
+TCP and UNIX-domain sockets, including malformed raw requests.
 """
 
 import asyncio
@@ -18,7 +18,6 @@ from repro.errors import InvalidNodeError
 from repro.experiments.parallel import DEFAULT_BACKOFF, ExperimentEngine
 from repro.graphs.generator import generate_dag
 from repro.graphs.toposort import reachable_from
-from repro.serve.breaker import BreakerState, CircuitBreaker
 from repro.serve.http import MAX_HEADER_LINES, MAX_REQUEST_BYTES, ServeClient, ServeServer
 from repro.serve.retry import DEFAULT_BACKOFF_SEED, BackoffPolicy
 from repro.serve.service import (
@@ -95,55 +94,20 @@ class TestBackoffPolicy:
             BackoffPolicy(max_delay=-1.0)
 
 
-# -- circuit breaker ----------------------------------------------------------
+# -- config -------------------------------------------------------------------
 
 
-class TestCircuitBreaker:
-    def test_trips_after_threshold_consecutive_failures(self):
-        breaker = CircuitBreaker(threshold=3, reset_after=10.0, clock=lambda: 0.0)
-        for _ in range(2):
-            breaker.record_failure()
-            assert breaker.state is BreakerState.CLOSED
-        breaker.record_failure()
-        assert breaker.state is BreakerState.OPEN
-        assert not breaker.allow()
-        assert breaker.trips == 1
-
-    def test_success_resets_the_failure_count(self):
-        breaker = CircuitBreaker(threshold=2)
-        breaker.record_failure()
-        breaker.record_success()
-        breaker.record_failure()
-        assert breaker.state is BreakerState.CLOSED
-
-    def test_cooldown_half_opens_and_probe_outcome_decides(self):
-        now = [0.0]
-        breaker = CircuitBreaker(threshold=1, reset_after=5.0, clock=lambda: now[0])
-        breaker.record_failure()
-        assert breaker.state is BreakerState.OPEN
-        now[0] = 5.0
-        assert breaker.state is BreakerState.HALF_OPEN
-        assert breaker.allow()
-        # Failed probe re-opens immediately and restarts the cool-down.
-        breaker.record_failure()
-        assert breaker.state is BreakerState.OPEN
-        assert breaker.trips == 2
-        now[0] = 10.0
-        assert breaker.state is BreakerState.HALF_OPEN
-        breaker.record_success()
-        assert breaker.state is BreakerState.CLOSED
-
-    def test_snapshot_is_json_safe(self):
-        breaker = CircuitBreaker()
-        snap = breaker.snapshot()
-        assert snap["state"] == "closed"
-        assert snap["failures"] == 0
-
-    def test_rejects_bad_parameters(self):
-        with pytest.raises(ValueError):
-            CircuitBreaker(threshold=0)
-        with pytest.raises(ValueError):
-            CircuitBreaker(reset_after=-1.0)
+class TestServeConfig:
+    @pytest.mark.parametrize("field, value", [
+        ("deadline_ms", float("nan")),
+        ("deadline_ms", float("inf")),
+        ("max_wait_ms", float("nan")),
+        ("max_wait_ms", -5.0),
+        ("build_retries", -3),
+    ])
+    def test_refuses_values_that_switch_a_bound_off(self, field, value):
+        with pytest.raises(ValueError, match=rf"{field} must be .*, got {value}"):
+            ServeConfig(**{field: value})
 
 
 # -- validation ---------------------------------------------------------------
@@ -199,8 +163,7 @@ class TestReachabilityService:
                 v = rng.randrange(graph.num_nodes)
                 answer = await service.reachable(u, v)
                 expected = v != u and v in reachable_from(graph, [u])
-                assert answer["reachable"] == expected
-                assert answer["degraded"] is False
+                assert answer == {"reachable": expected}
             successors = await service.successors(5)
             assert sorted(successors["successors"]) == sorted(
                 n for n in reachable_from(graph, [5]) if n != 5
@@ -277,60 +240,11 @@ class TestReachabilityService:
 
         asyncio.run(run())
 
-    def test_breaker_trip_degrades_then_recovery_restores(self, graph):
-        """ready -> degraded (breaker open, last-good index) -> ready."""
-        now = [0.0]
-        config = ServeConfig(
-            breaker_threshold=2, breaker_reset_s=5.0, build_retries=0,
-            backoff_base_s=0.0,
-        )
-        service = ReachabilityService(
-            graph, system=SystemConfig(engine="fast"), config=config,
-            clock=lambda: now[0],
-        )
-
-        async def run():
-            assert await service.build()
-            assert service.state == "ready"
-            baseline = await service.reachable(0, 90)
-
-            # Break the build path: refreshes fail, the breaker trips.
-            original = service._build_index_sync
-            service._build_index_sync = lambda: (_ for _ in ()).throw(
-                RuntimeError("storage down")
-            )
-            assert not await service.build()
-            assert not await service.build()
-            assert service.breaker.state is BreakerState.OPEN
-            assert service.state == "degraded"
-
-            # Stale-while-revalidate: the last-good index still answers,
-            # flagged degraded, and the value is unchanged.
-            answer = await service.reachable(0, 90)
-            assert answer["reachable"] == baseline["reachable"]
-            assert answer["degraded"] is True
-
-            # While open, rebuild attempts are refused without storage work.
-            assert not await service.build()
-            assert service.telemetry.count("breaker_refusals") == 1
-
-            # Cool-down elapses; the healed build path closes the breaker.
-            service._build_index_sync = original
-            now[0] = 5.0
-            assert service.breaker.state is BreakerState.HALF_OPEN
-            assert await service.build()
-            assert service.state == "ready"
-            assert (await service.reachable(0, 90))["degraded"] is False
-
-        asyncio.run(run())
-
     def test_build_retries_use_the_backoff_policy(self, graph):
         async def run():
             attempts = []
             service = await_none = None
-            service = make_service(
-                graph, build_retries=2, backoff_base_s=0.0, breaker_threshold=10
-            )
+            service = make_service(graph, build_retries=2, backoff_base_s=0.0)
             original = service._build_index_sync
 
             def flaky():
@@ -524,39 +438,40 @@ class TestHTTPServer:
 
         asyncio.run(run())
 
-    def test_refresh_endpoint_rebuilds(self, graph):
+    def test_no_rebuild_route_and_no_breaker_state(self, graph):
+        """The index is built once: no /refresh, no breaker, no degraded flag."""
+
         async def run():
             service, server, client = await start_server(graph)
             try:
-                status, payload = await client.refresh()
-                assert status == 200
-                assert payload == {"rebuilt": True, "state": "ready"}
-                assert service.telemetry.count("rebuilds") == 2
+                status, _, payload = await client.request("POST", "/refresh")
+                assert status == 404 and "error" in payload
+                for path in ("/healthz", "/stats"):
+                    status, body = await client.get(path)
+                    assert status == 200 and "breaker" not in body
+                status, payload = await client.successors(3)
+                assert status == 200 and set(payload) == {"successors"}
+                status, payload = await client.batch([{"u": 0, "v": 90}])
+                assert status == 200 and set(payload) == {"results"}
+                assert service.telemetry.count("rebuilds") == 1
             finally:
                 await client.close()
                 await server.close()
 
         asyncio.run(run())
 
-    def test_readyz_reports_degraded_over_http(self, graph):
-        async def run():
-            service, server, client = await start_server(graph)
-            try:
-                service._build_index_sync = lambda: (_ for _ in ()).throw(
-                    RuntimeError("storage down")
-                )
-                for _ in range(service.config.breaker_threshold):
-                    await client.refresh()
-                status, ready = await client.get("/readyz")
-                assert status == 503 and ready["state"] == "degraded"
-                # Still answering, flagged degraded.
-                status, payload = await client.reachable(0, 90)
-                assert status == 200 and payload["degraded"] is True
-            finally:
-                await client.close()
-                await server.close()
 
-        asyncio.run(run())
+async def read_reply(reader):
+    """One reply's status, headers and JSON body; ``(None, {}, None)`` at EOF."""
+    status_line = await reader.readline()
+    if not status_line:
+        return None, {}, None
+    headers = {}
+    while (line := await reader.readline()) not in (b"\r\n", b""):
+        name, _, value = line.decode("latin-1").partition(":")
+        headers[name.strip().lower()] = value.strip()
+    body = await reader.readexactly(int(headers["content-length"]))
+    return int(status_line.split()[1]), headers, json.loads(body)
 
 
 async def raw_exchange(port, data):
@@ -569,15 +484,7 @@ async def raw_exchange(port, data):
         writer.write(data)
         writer.write_eof()
         await writer.drain()
-        status_line = await reader.readline()
-        if not status_line:
-            return None, {}, None
-        headers = {}
-        while (line := await reader.readline()) not in (b"\r\n", b""):
-            name, _, value = line.decode("latin-1").partition(":")
-            headers[name.strip().lower()] = value.strip()
-        body = await reader.readexactly(int(headers["content-length"]))
-        return int(status_line.split()[1]), headers, json.loads(body)
+        return await read_reply(reader)
     finally:
         writer.close()
         try:
@@ -619,7 +526,55 @@ MALFORMED_REQUESTS = [
 ]
 
 
+UNREADABLE_QUERIES = [
+    pytest.param(b"GET /reachable?u=0&v=90&deadline_ms=abc", b"", "deadline_ms",
+                 id="non-numeric-deadline"),
+    pytest.param(b"GET /reachable?u=0&v=90&deadline_ms=nan", b"", "deadline_ms",
+                 id="nan-deadline"),
+    pytest.param(b"GET /reachable?u=0&v=90&deadline_ms=inf", b"", "deadline_ms",
+                 id="infinite-deadline"),
+    pytest.param(b"POST /batch", b"\xff\xfe", "batch body", id="batch-body-not-utf8"),
+    pytest.param(b"POST /batch", b'{"queries":' + b"[" * 100_000, "batch body",
+                 id="batch-body-nested-too-deep"),
+    pytest.param(b"POST /batch", b'{"queries":[{"u":' + b"1" * 5000 + b',"v":1}]}',
+                 "batch body", id="batch-integer-over-the-digit-limit"),
+]
+
+
 class TestMalformedRequests:
+    @pytest.mark.parametrize("head, body, named", UNREADABLE_QUERIES)
+    def test_an_unreadable_query_is_a_400_on_a_kept_connection(
+        self, graph, head, body, named, capsys
+    ):
+        async def run():
+            loop = asyncio.get_running_loop()
+            unhandled = []
+            loop.set_exception_handler(lambda _loop, context: unhandled.append(context))
+            service, server, client = await start_server(graph)
+            reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+            try:
+                writer.write(head + b" HTTP/1.1\r\nContent-Length: %d\r\n\r\n" % len(body)
+                             + body + b"GET /reachable?u=0&v=90 HTTP/1.1\r\n\r\n")
+                await writer.drain()
+                status, headers, payload = await read_reply(reader)
+                assert status == 400 and headers["connection"] == "keep-alive"
+                assert named in payload["error"]
+                # The framing was valid, so the connection answers the next one.
+                status, _, payload = await read_reply(reader)
+                assert status == 200
+                assert payload == {"reachable": 90 in reachable_from(graph, [0])}
+                assert service.telemetry.count("invalid_requests") == 1
+                assert service.telemetry.count("errors") == 0
+            finally:
+                writer.close()
+                await writer.wait_closed()
+                await client.close()
+                await server.close()
+            assert unhandled == []
+
+        asyncio.run(run())
+        assert capsys.readouterr().err == ""
+
     @pytest.mark.parametrize("raw,expected", MALFORMED_REQUESTS)
     def test_structured_rejection_and_no_unhandled_exception(self, graph, raw, expected):
         async def run():
