@@ -1,32 +1,23 @@
-"""Benchmark: repro-lint cold vs warm over the whole ``src/`` tree.
+"""Benchmark: one full-rule repro-lint pass over the whole ``src/`` tree.
 
 The dataflow rules (RPL008-010) build a CFG and run a fixpoint per
-function, so a full-rule run over ``src/`` costs real CPU.  The
-per-file content-hash cache is what keeps the CI ``lint-dataflow`` leg
-flat as rules multiply: a warm run should be dominated by hashing, not
-analysis.  This benchmark measures both regimes with the complete rule
-set and writes ``BENCH_lint.json`` at the repository root (same
-sorted-keys / trailing-newline discipline as the other ``BENCH_*.json``
-files) with:
+function, so a full-rule pass over ``src/`` costs real CPU.  This
+benchmark times the pass CI runs -- every rule, every file, from a
+fresh process with nothing carried over -- and writes
+``BENCH_lint.json`` at the repository root (same sorted-keys /
+trailing-newline discipline as the other ``BENCH_*.json`` files) with
+the file and rule counts, the wall time and the files per second.
 
-* file and rule counts for the measured configuration;
-* cold wall time (no cache file) and files per second;
-* warm wall time (every file a cache hit) and the speedup ratio;
-* the cache hit/miss split of the warm run, as a self-check.
-
-Both runs must exit clean -- a finding in ``src/`` is a benchmark
+The pass must exit clean -- a finding in ``src/`` is a benchmark
 failure, mirroring the CI self-check.
 
 Run standalone (``python benchmarks/bench_lint.py``) or under the
 bench suite (``pytest benchmarks/bench_lint.py``).
 """
 
-import tempfile
 import time
 from pathlib import Path
 
-from repro.lint.cache import LintCache, rules_signature
-from repro.lint.config import LintConfig
 from repro.lint.framework import lint_paths
 from repro.lint.rules import make_rules
 from repro.obs.bench import write_bench_summary
@@ -36,60 +27,32 @@ SRC = REPO_ROOT / "src"
 
 
 def run_suite():
-    rules = make_rules(LintConfig())
-    signature = rules_signature(rules)
-
-    with tempfile.TemporaryDirectory(prefix="repro-bench-lint-") as tmp:
-        cache_path = Path(tmp) / "lint-cache.json"
-
-        cold_cache = LintCache.load(cache_path, signature)
-        cold_start = time.perf_counter()
-        cold = lint_paths([str(SRC)], rules, cache=cold_cache)
-        cold_seconds = time.perf_counter() - cold_start
-        cold_cache.save()
-        assert not cold.findings, [f.render() for f in cold.findings]
-
-        warm_cache = LintCache.load(cache_path, signature)
-        warm_start = time.perf_counter()
-        warm = lint_paths([str(SRC)], rules, cache=warm_cache)
-        warm_seconds = time.perf_counter() - warm_start
-        assert not warm.findings, [f.render() for f in warm.findings]
-        assert warm_cache.misses == 0, "warm run should be all cache hits"
-
+    rules = make_rules()
+    start = time.perf_counter()
+    result = lint_paths([str(SRC)], rules)
+    seconds = time.perf_counter() - start
+    assert not result.findings, [f.render() for f in result.findings]
     return {
         "workload": {
             "path": "src",
-            "files": cold.files,
+            "files": result.files,
             "rules": len(rules),
         },
-        "cold": {
-            "seconds": round(cold_seconds, 3),
-            "files_per_second": round(cold.files / cold_seconds, 1),
-        },
-        "warm": {
-            "seconds": round(warm_seconds, 3),
-            "files_per_second": round(warm.files / warm_seconds, 1),
-            "cache_hits": warm_cache.hits,
-            "cache_misses": warm_cache.misses,
-        },
-        "speedup": round(cold_seconds / warm_seconds, 1),
+        "seconds": round(seconds, 3),
+        "files_per_second": round(result.files / seconds, 1),
     }
 
 
-def test_lint_cold_warm(benchmark):
+def test_lint_full_pass(benchmark):
     out = benchmark.pedantic(run_suite, rounds=1, iterations=1)
     write_bench_summary(out, REPO_ROOT / "BENCH_lint.json")
     print(
         f"\nrepro-lint over src: {out['workload']['files']} files, "
-        f"{out['workload']['rules']} rules, "
-        f"cold {out['cold']['seconds']}s, "
-        f"warm {out['warm']['seconds']}s "
-        f"({out['speedup']}x, {out['warm']['cache_hits']} hits)"
+        f"{out['workload']['rules']} rules, {out['seconds']}s"
     )
-    # The CI budget: a warm full-rule pass over src/ must stay well
-    # under the lint-dataflow leg's 20s ceiling.
-    assert out["warm"]["seconds"] < 20
-    assert out["warm"]["cache_misses"] == 0
+    # The CI budget: a full-rule pass over src/ must stay well under
+    # the lint-dataflow leg's 20s ceiling.
+    assert out["seconds"] < 20
 
 
 if __name__ == "__main__":

@@ -857,7 +857,7 @@ def _obs_command(args: argparse.Namespace) -> int:
         bench = load_bench_entries(args.bench) if args.bench else None
         out = render_report(args.out, records, trace_payload=trace_payload,
                             bench_entries=bench, title=args.title)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(f"wrote {out}")

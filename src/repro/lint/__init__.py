@@ -33,14 +33,13 @@ RPL008-010 run on an intra-procedural CFG (:mod:`repro.lint.cfg`) with
 a gen/kill dataflow solver (:mod:`repro.lint.dataflow`).
 
 Run it as ``python -m repro.lint [paths]`` or via the ``repro-lint``
-console script.  Findings can be suppressed inline with
-``# repro-lint: disable=RPL001`` (or ``disable`` for all rules) on the
-offending line, or grandfathered wholesale in a JSON baseline file
-(``--baseline``).  See ``docs/STATIC_ANALYSIS.md``.
+console script: one read-only pass of every selected rule
+(``--select``/``--ignore``) over the given paths.  Findings can be
+suppressed inline with ``# repro-lint: disable=RPL001`` (or ``disable``
+for all rules) on the offending line, or file-wide with
+``# repro-lint: disable-file=RPL001``.  See ``docs/STATIC_ANALYSIS.md``.
 """
 
-from repro.lint.baseline import load_baseline, write_baseline
-from repro.lint.config import LintConfig
 from repro.lint.framework import FileContext, Finding, Rule, lint_paths, lint_source
 from repro.lint.rules import ALL_RULES, make_rules
 
@@ -48,11 +47,8 @@ __all__ = [
     "ALL_RULES",
     "FileContext",
     "Finding",
-    "LintConfig",
     "Rule",
     "lint_paths",
     "lint_source",
-    "load_baseline",
     "make_rules",
-    "write_baseline",
 ]

@@ -1,8 +1,10 @@
 """Command line front-end: ``python -m repro.lint`` / ``repro-lint``.
 
-Exit codes follow the CI convention: 0 clean, 1 findings, 2 usage or
-internal error.  Defaults come from ``[tool.repro-lint]`` in the
-nearest ``pyproject.toml``; command-line flags override.
+One read-only pass: every selected rule over every ``.py`` file under
+the given paths.  Exit codes follow the CI convention: 0 clean, 1
+findings, 2 usage or internal error -- an unknown rule code, or a path
+that does not exist or holds no ``.py`` file, is a usage error, never a
+clean pass.
 """
 
 from __future__ import annotations
@@ -11,12 +13,9 @@ import argparse
 import json
 import sys
 from collections.abc import Sequence
+from pathlib import Path
 
-from repro.lint.baseline import load_baseline, write_baseline
-from repro.lint.cache import LintCache, rules_signature
-from repro.lint.config import LintConfig, load_pyproject_config
-from repro.lint.framework import LintResult, lint_paths
-from repro.lint.gitdiff import changed_python_files
+from repro.lint.framework import LintResult, collect_files, lint_paths
 from repro.lint.rules import ALL_RULES, make_rules
 
 EXIT_CLEAN = 0
@@ -56,40 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="output format (default: text)",
     )
     parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="baseline file of grandfathered findings to subtract",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="write the current findings to the baseline file and exit 0",
-    )
-    parser.add_argument(
-        "--no-config",
-        action="store_true",
-        help="ignore [tool.repro-lint] in pyproject.toml",
-    )
-    parser.add_argument(
-        "--cache",
-        default=None,
-        metavar="PATH",
-        help="per-file result cache (content-hash keyed; invalidated "
-        "automatically when rules or analyzer sources change)",
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore any configured cache for this run",
-    )
-    parser.add_argument(
-        "--changed-only",
-        action="store_true",
-        help="lint only files changed vs git HEAD (plus untracked); "
-        "falls back to the full file set outside a git checkout",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="list the registered rules and exit",
@@ -100,49 +65,17 @@ def build_parser() -> argparse.ArgumentParser:
 def _split_codes(values: list[str] | None) -> list[str]:
     codes: list[str] = []
     for value in values or []:
-        codes.extend(part.strip().upper() for part in value.split(",") if part.strip())
+        codes.extend(part.strip() for part in value.split(",") if part.strip())
     return codes
 
 
-def _resolve_config(args: argparse.Namespace) -> LintConfig:
-    config = LintConfig() if args.no_config else load_pyproject_config()
-    if args.select is not None:
-        config.select = _split_codes(args.select)
-    if args.ignore is not None:
-        config.ignore = _split_codes(args.ignore)
-    if args.baseline is not None:
-        config.baseline = args.baseline
-    if args.cache is not None:
-        config.cache = args.cache
-    if args.no_cache:
-        config.cache = None
-    return config
-
-
-def _restrict_to(paths: list[str], changed: list[str]) -> list[str]:
-    """Changed files that fall under one of the requested paths."""
-    import os
-
-    roots = [os.path.abspath(p) for p in paths]
-    kept: list[str] = []
-    for candidate in changed:
-        absolute = os.path.abspath(candidate)
-        for root in roots:
-            if absolute == root or absolute.startswith(root + os.sep):
-                kept.append(candidate)
-                break
-    return kept
-
-
-def _render_text(result: LintResult, out: object = None) -> None:
-    stream = out or sys.stdout
+def _render_text(result: LintResult) -> None:
     for finding in result.findings:
-        print(finding.render(), file=stream)
-    summary = (
+        print(finding.render())
+    print(
         f"{len(result.findings)} finding(s) in {result.files} file(s)"
-        f" ({result.suppressed} suppressed, {result.baselined} baselined)"
+        f" ({result.suppressed} suppressed)"
     )
-    print(summary, file=stream)
 
 
 def _render_json(result: LintResult) -> None:
@@ -150,7 +83,6 @@ def _render_json(result: LintResult) -> None:
         "findings": [finding.to_dict() for finding in result.findings],
         "files": result.files,
         "suppressed": result.suppressed,
-        "baselined": result.baselined,
     }
     print(json.dumps(payload, indent=2, sort_keys=True))
 
@@ -165,46 +97,18 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_CLEAN
 
     try:
-        config = _resolve_config(args)
-        rules = make_rules(config)
+        rules = make_rules(_split_codes(args.select), _split_codes(args.ignore))
         if not rules:
-            print("repro-lint: no rules selected", file=sys.stderr)
-            return EXIT_ERROR
-        baseline: set[tuple[str, str, str]] | None = None
-        if config.baseline and not args.write_baseline:
-            baseline = load_baseline(config.baseline)
-        paths = list(args.paths)
-        if args.changed_only:
-            changed = changed_python_files()
-            if changed is None:
-                print(
-                    "repro-lint: --changed-only outside a git checkout; "
-                    "linting the full file set",
-                    file=sys.stderr,
-                )
-            else:
-                paths = _restrict_to(paths, changed)
-        cache: LintCache | None = None
-        if config.cache:
-            cache = LintCache.load(config.cache, rules_signature(list(rules)))
-        result = lint_paths(paths, rules, baseline=baseline, cache=cache)
-        if cache is not None:
-            cache.save()
+            raise ValueError("no rules selected")
+        for path in args.paths:
+            if not Path(path).exists():
+                raise ValueError(f"no such file or directory: {path}")
+            if not collect_files([path]):
+                raise ValueError(f"no .py file under {path}")
+        result = lint_paths(args.paths, rules)
     except ValueError as exc:
         print(f"repro-lint: {exc}", file=sys.stderr)
         return EXIT_ERROR
-
-    if args.write_baseline:
-        if not config.baseline:
-            print(
-                "repro-lint: --write-baseline needs --baseline or a "
-                "configured baseline path",
-                file=sys.stderr,
-            )
-            return EXIT_ERROR
-        count = write_baseline(config.baseline, result.findings)
-        print(f"wrote {count} finding(s) to {config.baseline}")
-        return EXIT_CLEAN
 
     if args.format == "json":
         _render_json(result)

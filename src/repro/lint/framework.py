@@ -16,10 +16,6 @@ import re
 from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING
-
-if TYPE_CHECKING:
-    from repro.lint.cache import LintCache
 
 _SUPPRESS_RE = re.compile(r"#\s*repro-lint:\s*disable(?:=([A-Za-z0-9, ]+))?")
 _SUPPRESS_FILE_RE = re.compile(r"#\s*repro-lint:\s*disable-file=([A-Za-z0-9, ]+)")
@@ -37,15 +33,6 @@ class Finding:
     line: int
     col: int
     message: str
-
-    def fingerprint(self) -> tuple[str, str, str]:
-        """Line-number-independent identity, used for baseline matching.
-
-        Moving a grandfathered finding around a file must not resurrect
-        it, so the fingerprint is (rule, file, message) -- the same
-        scheme ruff and pylint baselines use.
-        """
-        return (self.code, self.path, self.message)
 
     def to_dict(self) -> dict[str, object]:
         return {
@@ -259,23 +246,14 @@ def module_name_of(path: str) -> str:
 class Rule:
     """Base class of all lint rules.
 
-    Subclasses set ``code``/``name``/``summary``, may override
-    :meth:`configure` to accept per-rule options (from
-    ``[tool.repro-lint.<code>]`` in pyproject or from tests), and
-    implement :meth:`check`.
+    Subclasses set ``code``/``name``/``summary`` and implement
+    :meth:`check`; a rule's module scopes and name lists are instance
+    attributes set in its ``__init__``.
     """
 
     code: str = "RPL000"
     name: str = "abstract"
     summary: str = ""
-
-    def configure(self, options: dict[str, object]) -> None:
-        """Apply per-rule configuration; unknown keys raise."""
-        for key, value in options.items():
-            attr = key.replace("-", "_")
-            if not hasattr(self, attr):
-                raise ValueError(f"{self.code}: unknown option {key!r}")
-            setattr(self, attr, value)
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
         raise NotImplementedError
@@ -309,7 +287,6 @@ class LintResult:
 
     findings: list[Finding] = field(default_factory=list)
     suppressed: int = 0
-    baselined: int = 0
     files: int = 0
 
 
@@ -357,23 +334,12 @@ def lint_source(
     return findings
 
 
-def lint_paths(
-    paths: Sequence[str],
-    rules: Sequence[Rule],
-    baseline: set[tuple[str, str, str]] | None = None,
-    cache: "LintCache | None" = None,
-) -> LintResult:
-    """Lint a file set; baseline fingerprints are subtracted, not shown.
-
-    With a ``cache``, files whose content hash matches a prior run are
-    served from it.  Cached entries hold *pre-baseline* findings and
-    the file's suppression count, so baseline changes apply instantly.
-    """
+def lint_paths(paths: Sequence[str], rules: Sequence[Rule]) -> LintResult:
+    """Lint every ``.py`` file under ``paths`` with ``rules``."""
     result = LintResult()
     for file_path in collect_files(paths):
         try:
-            raw = file_path.read_bytes()
-            source = raw.decode("utf-8")
+            source = file_path.read_bytes().decode("utf-8")
         except (OSError, UnicodeDecodeError) as exc:
             result.findings.append(
                 Finding(
@@ -386,26 +352,8 @@ def lint_paths(
             )
             continue
         result.files += 1
-        findings: list[Finding] | None = None
-        if cache is not None:
-            hit = cache.lookup(str(file_path), raw)
-            if hit is not None:
-                findings, suppressed = hit
-                result.suppressed += suppressed
-        if findings is None:
-            per_file = LintResult()
-            findings = lint_source(
-                source, rules, path=str(file_path), stats=per_file
-            )
-            result.suppressed += per_file.suppressed
-            if cache is not None:
-                cache.store(
-                    str(file_path), raw, findings, per_file.suppressed
-                )
-        for finding in findings:
-            if baseline and finding.fingerprint() in baseline:
-                result.baselined += 1
-                continue
-            result.findings.append(finding)
+        result.findings.extend(
+            lint_source(source, rules, path=str(file_path), stats=result)
+        )
     result.findings.sort(key=lambda f: (f.path, f.line, f.col, f.code))
     return result

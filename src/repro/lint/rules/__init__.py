@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Iterable
 
-from repro.lint.config import LintConfig
 from repro.lint.framework import Rule
 from repro.lint.rules.asynchygiene import AsyncHygieneRule
 from repro.lint.rules.capability import CapabilityGuardRule
@@ -31,14 +30,21 @@ ALL_RULES: tuple[type[Rule], ...] = (
 )
 
 
-def make_rules(config: LintConfig | None = None) -> Sequence[Rule]:
-    """Instantiate and configure the enabled rules."""
-    config = config or LintConfig()
-    rules: list[Rule] = []
-    for rule_class in ALL_RULES:
-        if not config.enabled(rule_class.code):
-            continue
-        rule = rule_class()
-        rule.configure(config.options_for(rule_class.code))
-        rules.append(rule)
-    return rules
+def make_rules(select: Iterable[str] = (), ignore: Iterable[str] = ()) -> list[Rule]:
+    """Instantiate the selected rules, minus the ignored ones.
+
+    An empty ``select`` means every rule.  Codes are case-insensitive;
+    an unknown one raises ``ValueError`` naming it, so a misspelt code
+    cannot silently drop a rule from the run.
+    """
+    selected = {code.upper() for code in select}
+    ignored = {code.upper() for code in ignore}
+    unknown = (selected | ignored) - {rule_class.code for rule_class in ALL_RULES}
+    if unknown:
+        raise ValueError(f"unknown rule code(s): {', '.join(sorted(unknown))}")
+    return [
+        rule_class()
+        for rule_class in ALL_RULES
+        if (not selected or rule_class.code in selected)
+        and rule_class.code not in ignored
+    ]

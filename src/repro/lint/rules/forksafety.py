@@ -17,7 +17,7 @@ corrupt multi-process sweeps:
   non-determinism the paper's methodology (fixed seeds, pinned page
   layouts) exists to exclude.  The sanctioned pattern is a reset hook:
   the ``ProcessPoolExecutor(initializer=...)`` function (plus any
-  names configured in ``reset_hooks``) must clear or reassign the
+  names listed in ``reset_hooks``) must clear or reassign the
   global.
 
 The reachability walk is a same-module call-graph BFS from every

@@ -27,6 +27,7 @@ iff any gated metric in any cell grew beyond its band.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Union
@@ -59,13 +60,23 @@ class MetricGate:
     A metric regresses when its growth exceeds *all three* allowances
     at once -- i.e. when ``delta > max(rel x baseline, absolute,
     noise_sigma x stddev(baseline samples))``.  ``rel=None`` makes the
-    metric report-only (its delta is shown, never gated).
+    metric report-only (its delta is shown, never gated).  Each
+    tolerance must be finite and >= 0: a NaN or infinite one would let
+    any growth pass.
     """
 
     metric: str
     rel: float | None = None
     absolute: float = 0.0
     noise_sigma: float = 0.0
+
+    def __post_init__(self) -> None:
+        for name in ("rel", "absolute", "noise_sigma"):
+            value = getattr(self, name)
+            if value is not None and not (math.isfinite(value) and value >= 0):
+                raise ValueError(
+                    f"{self.metric} gate: {name} must be finite and >= 0, got {value}"
+                )
 
     @property
     def gated(self) -> bool:
@@ -87,20 +98,20 @@ def default_gates(
     wall_abs: float = 0.005,
     noise_sigma: float = 3.0,
 ) -> tuple[MetricGate, ...]:
-    """The standard gate set (see the module docstring for the policy)."""
+    """The standard gate set (see the module docstring for the policy).
+
+    The wall gate is built, so its tolerances are checked, even when
+    ``wall_threshold`` is None; it is kept only when gated.
+    """
+    wall = MetricGate(
+        "wall_seconds", rel=wall_threshold, absolute=wall_abs, noise_sigma=noise_sigma
+    )
     gates = [
         MetricGate("total_io", rel=threshold),
         MetricGate("cpu_seconds", rel=cpu_threshold),
     ]
-    if wall_threshold is not None:
-        gates.append(
-            MetricGate(
-                "wall_seconds",
-                rel=wall_threshold,
-                absolute=wall_abs,
-                noise_sigma=noise_sigma,
-            )
-        )
+    if wall.gated:
+        gates.append(wall)
     return tuple(gates)
 
 

@@ -247,6 +247,22 @@ class TestCompareCommand:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize(
+        "flag",
+        ["--threshold", "--cpu-threshold", "--wall-threshold", "--wall-abs",
+         "--noise-sigma"],
+    )
+    def test_a_non_finite_or_negative_tolerance_exits_two(self, flag, value, capsys):
+        candidate = self.BASELINE.with_name("candidate_2x_io.jsonl")
+        assert main(["compare", str(self.BASELINE), str(candidate),
+                     f"{flag}={value}"]) == 2
+        err = capsys.readouterr().err
+        (line,) = err.splitlines()
+        assert line.startswith("error: ") and "must be finite and >= 0" in line
+        assert "Traceback" not in err
+
+
 class TestChainsProbes:
     WORKLOAD = ["chains", "--nodes", "150", "--seed", "3", "--queries", "10",
                 "--engine", "fast", "-q"]

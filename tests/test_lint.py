@@ -1,20 +1,21 @@
 """Tests for repro-lint: the AST-based invariant analyzer.
 
 Each rule gets positive fixtures (the violation is found), negative
-fixtures (sanctioned idioms stay clean), plus suppression, baseline and
-CLI exit-code coverage -- and a self-check that the repository's own
-``src/`` tree is clean under the default configuration, which is what
-the CI gate runs.
+fixtures (sanctioned idioms stay clean), plus suppression, selection
+and CLI exit-code coverage -- and a self-check that the repository's
+own ``src/`` tree is clean under every rule, which is what the CI gate
+runs.
 """
 
 import json
 import textwrap
 from pathlib import Path
 
-from repro.lint import lint_source, load_baseline, write_baseline
-from repro.lint.cache import LintCache, rules_signature
+import pytest
+
+from repro.lint import lint_source
 from repro.lint.cli import EXIT_CLEAN, EXIT_ERROR, EXIT_FINDINGS, main
-from repro.lint.framework import PARSE_ERROR_CODE, LintResult, lint_paths
+from repro.lint.framework import PARSE_ERROR_CODE, LintResult
 from repro.lint.rules import make_rules
 from repro.lint.rules.asynchygiene import AsyncHygieneRule
 from repro.lint.rules.capability import CapabilityGuardRule
@@ -980,125 +981,65 @@ class TestParseErrors:
         assert codes(findings) == [PARSE_ERROR_CODE]
 
 
-class TestBaseline:
-    def test_round_trip_and_subtraction(self, tmp_path):
-        bad = tmp_path / "repro" / "core" / "bad.py"
-        bad.parent.mkdir(parents=True)
-        bad.write_text("metrics.duplicates += 1\n", encoding="utf-8")
-        rules = [CounterDisciplineRule()]
-
-        first = lint_paths([str(tmp_path)], rules)
-        assert codes(first.findings) == ["RPL003"]
-
-        baseline_file = tmp_path / "baseline.json"
-        assert write_baseline(baseline_file, first.findings) == 1
-        fingerprints = load_baseline(baseline_file)
-        assert len(fingerprints) == 1
-
-        second = lint_paths([str(tmp_path)], rules, baseline=fingerprints)
-        assert second.findings == []
-        assert second.baselined == 1
-
-    def test_baseline_is_line_number_independent(self, tmp_path):
-        bad = tmp_path / "repro" / "core" / "bad.py"
-        bad.parent.mkdir(parents=True)
-        bad.write_text("metrics.duplicates += 1\n", encoding="utf-8")
-        rules = [CounterDisciplineRule()]
-        first = lint_paths([str(tmp_path)], rules)
-        baseline_file = tmp_path / "baseline.json"
-        write_baseline(baseline_file, first.findings)
-
-        # Push the grandfathered line down: it must stay baselined.
-        bad.write_text("import os\n\n\nmetrics.duplicates += 1\n", encoding="utf-8")
-        again = lint_paths(
-            [str(tmp_path)], rules, baseline=load_baseline(baseline_file)
-        )
-        assert again.findings == []
-        assert again.baselined == 1
-
-    def test_missing_baseline_is_empty(self, tmp_path):
-        assert load_baseline(tmp_path / "nope.json") == set()
-
-    def test_malformed_baseline_raises(self, tmp_path):
-        bad = tmp_path / "broken.json"
-        bad.write_text("{\"not\": \"a baseline\"}", encoding="utf-8")
-        try:
-            load_baseline(bad)
-        except ValueError as exc:
-            assert "malformed baseline" in str(exc)
-        else:
-            raise AssertionError("malformed baseline did not raise")
-
-
 class TestConfigAndSelection:
     def test_select_narrows_the_rule_set(self):
-        from repro.lint.config import LintConfig
-
-        rules = make_rules(LintConfig(select=["RPL001"]))
+        rules = make_rules(select=["rpl001"])  # codes are case-insensitive
         assert [r.code for r in rules] == ["RPL001"]
 
     def test_ignore_removes_rules(self):
-        from repro.lint.config import LintConfig
-
-        rules = make_rules(LintConfig(ignore=["RPL002", "RPL006"]))
+        rules = make_rules(ignore=["RPL002", "RPL006"])
         assert "RPL002" not in [r.code for r in rules]
         assert "RPL006" not in [r.code for r in rules]
         assert len(rules) == 8
-
-    def test_per_rule_options_reach_the_rule(self):
-        from repro.lint.config import LintConfig
-
-        config = LintConfig(
-            rule_options={"RPL001": {"banned": ("repro.storage.trace",)}}
-        )
-        (rule,) = [r for r in make_rules(config) if r.code == "RPL001"]
-        assert rule.banned == ("repro.storage.trace",)
 
 
 class TestCli:
     def test_clean_tree_exits_zero(self, tmp_path, capsys):
         good = tmp_path / "ok.py"
         good.write_text("x = 1\n", encoding="utf-8")
-        assert main([str(tmp_path), "--no-config"]) == EXIT_CLEAN
-        assert "0 finding(s)" in capsys.readouterr().out
+        assert main([str(tmp_path)]) == EXIT_CLEAN
+        assert "0 finding(s) in 1 file(s) (0 suppressed)" in capsys.readouterr().out
 
     def test_findings_exit_one(self, tmp_path, capsys):
         bad = tmp_path / "repro" / "core" / "bad.py"
         bad.parent.mkdir(parents=True)
         bad.write_text("metrics.duplicates += 1\n", encoding="utf-8")
-        assert main([str(tmp_path), "--no-config"]) == EXIT_FINDINGS
+        assert main([str(tmp_path)]) == EXIT_FINDINGS
         assert "RPL003" in capsys.readouterr().out
 
     def test_empty_selection_exits_two(self, tmp_path, capsys):
-        assert main([str(tmp_path), "--no-config", "--select", "RPL999"]) == EXIT_ERROR
+        assert main([str(tmp_path), "--select", "RPL999"]) == EXIT_ERROR
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (["scr"], "scr"),
+            (["README.md"], "no .py file"),
+            (["src", "--select", "RPL008,RPL009,RPL01"], "RPL01"),
+            (["src", "--ignore", "RPL0O1"], "RPL0O1"),
+            (["src", "README.md"], "no .py file under README.md"),
+        ],
+        ids=["missing-path", "no-python-file", "unknown-select", "unknown-ignore",
+             "one-path-without-python"],
+    )
+    def test_a_run_that_checks_less_than_asked_exits_two(
+        self, argv, named, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(REPO_ROOT)
+        assert main(argv) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("repro-lint: ") and named in line
 
     def test_json_format(self, tmp_path, capsys):
         bad = tmp_path / "repro" / "core" / "bad.py"
         bad.parent.mkdir(parents=True)
         bad.write_text("metrics.duplicates += 1\n", encoding="utf-8")
-        assert main([str(tmp_path), "--no-config", "--format", "json"]) == EXIT_FINDINGS
+        assert main([str(tmp_path), "--format", "json"]) == EXIT_FINDINGS
         payload = json.loads(capsys.readouterr().out)
         assert payload["findings"][0]["code"] == "RPL003"
         assert payload["files"] == 1
-
-    def test_write_then_apply_baseline(self, tmp_path, capsys):
-        bad = tmp_path / "repro" / "core" / "bad.py"
-        bad.parent.mkdir(parents=True)
-        bad.write_text("metrics.duplicates += 1\n", encoding="utf-8")
-        baseline = tmp_path / "baseline.json"
-        assert (
-            main([
-                str(tmp_path), "--no-config",
-                "--baseline", str(baseline), "--write-baseline",
-            ])
-            == EXIT_CLEAN
-        )
-        assert baseline.exists()
-        assert (
-            main([str(tmp_path), "--no-config", "--baseline", str(baseline)])
-            == EXIT_CLEAN
-        )
-        assert "1 baselined" in capsys.readouterr().out
 
     def test_list_rules(self, capsys):
         assert main(["--list-rules"]) == EXIT_CLEAN
@@ -1107,162 +1048,24 @@ class TestCli:
                      "RPL007", "RPL008", "RPL009", "RPL010"):
             assert code in out
 
-
-class TestCache:
-    def _bad_file(self, tmp_path):
-        bad = tmp_path / "repro" / "core" / "bad.py"
-        bad.parent.mkdir(parents=True)
-        bad.write_text("metrics.duplicates += 1\n", encoding="utf-8")
-        return bad
-
-    def test_warm_run_is_all_hits_and_identical(self, tmp_path):
-        bad = self._bad_file(tmp_path)
-        rules = [CounterDisciplineRule()]
-        signature = rules_signature(rules)
-        cache_path = tmp_path / "cache.json"
-
-        cold_cache = LintCache.load(cache_path, signature)
-        cold = lint_paths([str(tmp_path)], rules, cache=cold_cache)
-        assert cold_cache.misses == 1 and cold_cache.hits == 0
-        cold_cache.save()
-
-        warm_cache = LintCache.load(cache_path, signature)
-        warm = lint_paths([str(tmp_path)], rules, cache=warm_cache)
-        assert warm_cache.hits == 1 and warm_cache.misses == 0
-        assert [f.render() for f in warm.findings] == [
-            f.render() for f in cold.findings
-        ]
-        assert bad.exists()
-
-    def test_edited_file_misses(self, tmp_path):
-        bad = self._bad_file(tmp_path)
-        rules = [CounterDisciplineRule()]
-        signature = rules_signature(rules)
-        cache_path = tmp_path / "cache.json"
-
-        cold_cache = LintCache.load(cache_path, signature)
-        lint_paths([str(tmp_path)], rules, cache=cold_cache)
-        cold_cache.save()
-
-        bad.write_text("x = 1\n", encoding="utf-8")
-        warm_cache = LintCache.load(cache_path, signature)
-        warm = lint_paths([str(tmp_path)], rules, cache=warm_cache)
-        assert warm_cache.misses == 1
-        assert warm.findings == []
-
-    def test_signature_change_discards_the_cache(self, tmp_path):
-        self._bad_file(tmp_path)
-        rules = [CounterDisciplineRule()]
-        cache_path = tmp_path / "cache.json"
-
-        cold_cache = LintCache.load(cache_path, rules_signature(rules))
-        lint_paths([str(tmp_path)], rules, cache=cold_cache)
-        cold_cache.save()
-
-        reloaded = LintCache.load(cache_path, "different-signature")
-        assert reloaded.entries == {}
-
-    def test_rule_options_change_the_signature(self):
-        plain = rules_signature([ResourceLifecycleRule()])
-        tweaked_rule = ResourceLifecycleRule()
-        tweaked_rule.configure({"pin_names": ("grab",)})
-        assert plain != rules_signature([tweaked_rule])
-
-    def test_corrupt_cache_degrades_to_cold(self, tmp_path):
-        cache_path = tmp_path / "cache.json"
-        cache_path.write_text("{not json", encoding="utf-8")
-        cache = LintCache.load(cache_path, "sig")
-        assert cache.entries == {}
-
-    def test_cached_findings_stay_subject_to_baseline(self, tmp_path):
-        self._bad_file(tmp_path)
-        rules = [CounterDisciplineRule()]
-        signature = rules_signature(rules)
-        cache_path = tmp_path / "cache.json"
-
-        cold_cache = LintCache.load(cache_path, signature)
-        cold = lint_paths([str(tmp_path)], rules, cache=cold_cache)
-        cold_cache.save()
-        baseline_file = tmp_path / "baseline.json"
-        write_baseline(baseline_file, cold.findings)
-
-        warm_cache = LintCache.load(cache_path, signature)
-        warm = lint_paths(
-            [str(tmp_path)],
-            rules,
-            baseline=load_baseline(baseline_file),
-            cache=warm_cache,
+    def test_a_lint_run_writes_no_file(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "pyproject.toml").write_text(
+            '[tool.repro-lint]\n'
+            'baseline = "lint-baseline.json"\n'
+            'cache = ".lint-cache.json"\n',
+            encoding="utf-8",
         )
-        assert warm_cache.hits == 1
-        assert warm.findings == [] and warm.baselined == 1
-
-    def test_cli_cache_flag_round_trip(self, tmp_path, capsys):
-        self._bad_file(tmp_path)
-        cache_path = tmp_path / "cache.json"
-        argv = [str(tmp_path), "--no-config", "--cache", str(cache_path)]
-        assert main(argv) == EXIT_FINDINGS
-        assert cache_path.exists()
-        capsys.readouterr()
-        assert main(argv) == EXIT_FINDINGS
-        assert "RPL003" in capsys.readouterr().out
-
-    def test_cli_no_cache_skips_the_file(self, tmp_path):
-        self._bad_file(tmp_path)
-        cache_path = tmp_path / "cache.json"
-        argv = [
-            str(tmp_path), "--no-config",
-            "--cache", str(cache_path), "--no-cache",
-        ]
-        assert main(argv) == EXIT_FINDINGS
-        assert not cache_path.exists()
-
-
-class TestChangedOnly:
-    def test_outside_git_falls_back_to_everything(
-        self, tmp_path, monkeypatch, capsys
-    ):
         bad = tmp_path / "repro" / "core" / "bad.py"
         bad.parent.mkdir(parents=True)
         bad.write_text("metrics.duplicates += 1\n", encoding="utf-8")
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setenv("GIT_DIR", str(tmp_path / "definitely-not-a-repo"))
-        assert main([str(tmp_path), "--no-config", "--changed-only"]) \
-            == EXIT_FINDINGS
-        captured = capsys.readouterr()
-        assert "linting the full file set" in captured.err
-        assert "RPL003" in captured.out
-
-    def test_only_changed_files_are_linted(self, tmp_path, monkeypatch, capsys):
-        import subprocess
-
-        def git(*argv):
-            subprocess.run(
-                ["git", *argv], cwd=tmp_path, check=True, capture_output=True
-            )
-
-        git("init", "-q")
-        git("config", "user.email", "lint@test")
-        git("config", "user.name", "lint test")
-        committed = tmp_path / "repro" / "core" / "committed.py"
-        committed.parent.mkdir(parents=True)
-        committed.write_text("metrics.duplicates += 1\n", encoding="utf-8")
-        git("add", "-A")
-        git("commit", "-q", "-m", "seed")
-
-        fresh = committed.parent / "fresh.py"
-        fresh.write_text("metrics.tuple_io += 1\n", encoding="utf-8")
-        monkeypatch.chdir(tmp_path)
-        assert main([str(tmp_path), "--no-config", "--changed-only"]) \
-            == EXIT_FINDINGS
-        out = capsys.readouterr().out
-        # The untracked file is linted; the committed (unchanged)
-        # violation is not even visited.
-        assert "fresh.py" in out
-        assert "committed.py" not in out
-        assert "1 file(s)" in out
+        before = sorted(tmp_path.rglob("*"))
+        assert main(["repro"]) == EXIT_FINDINGS
+        assert main(["repro", "--select", "RPL003"]) == EXIT_FINDINGS
+        assert sorted(tmp_path.rglob("*")) == before
 
 
 class TestRepositoryIsClean:
     def test_src_tree_is_clean_under_default_rules(self, capsys):
         """The CI gate: the repository satisfies its own invariants."""
-        assert main([str(REPO_ROOT / "src"), "--no-config"]) == EXIT_CLEAN
+        assert main([str(REPO_ROOT / "src")]) == EXIT_CLEAN

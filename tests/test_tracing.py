@@ -273,6 +273,23 @@ class TestHtmlReport:
                      str(tmp_path / "missing.jsonl")]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command",
+        [["validate-trace"], ["report", "--trace"], ["report", "--bench"]],
+        ids=["validate-trace", "report-trace", "report-bench"],
+    )
+    def test_json_nested_past_the_decoder_depth_exits_two(
+        self, command, tmp_path, monkeypatch, capsys
+    ):
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        monkeypatch.chdir(tmp_path)
+        assert main(["obs", *command, str(deep)]) == 2
+        err = capsys.readouterr().err
+        (line,) = err.splitlines()
+        assert line.startswith("error: ")
+        assert "Traceback" not in err
+
 
 class TestSchemaVersioning:
     def _record(self):
