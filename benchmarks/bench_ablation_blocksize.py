@@ -10,6 +10,7 @@ fewer lists fit per page and splits come earlier.
 
 from repro.core.btc import BtcAlgorithm
 from repro.core.query import Query, SystemConfig
+from repro.experiments.parallel import GraphSpec
 from repro.metrics.report import format_table
 
 GEOMETRIES = (
@@ -21,7 +22,7 @@ GEOMETRIES = (
 
 
 def run_ablation(profile):
-    graph = profile.build("G6", seed=0)
+    graph = GraphSpec.for_profile("G6", profile, 0).build()
     rows = []
     for blocks_per_page, block_capacity in GEOMETRIES:
         system = SystemConfig(

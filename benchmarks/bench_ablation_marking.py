@@ -10,6 +10,7 @@ ablation runs BTC with marking disabled and measures both effects.
 from repro.core.btc import BtcAlgorithm
 from repro.core.context import ExecutionContext
 from repro.core.query import Query, SystemConfig
+from repro.experiments.parallel import GraphSpec
 from repro.metrics.report import format_table
 
 
@@ -31,7 +32,7 @@ class UnmarkedBtc(BtcAlgorithm):
 def run_ablation(profile):
     rows = []
     for family in ("G5", "G9"):
-        graph = profile.build(family, seed=0)
+        graph = GraphSpec.for_profile(family, profile, 0).build()
         system = SystemConfig(buffer_pages=10)
         for algorithm in (BtcAlgorithm(), UnmarkedBtc()):
             result = algorithm.run(graph, Query.full(), system)

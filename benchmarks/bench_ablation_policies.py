@@ -9,6 +9,7 @@ best and worst combination stays small relative to the spread between
 
 from repro.core.btc import BtcAlgorithm
 from repro.core.query import Query, SystemConfig
+from repro.experiments.parallel import GraphSpec
 from repro.metrics.report import format_table
 from repro.storage.successor_store import ListPlacementPolicy
 
@@ -16,7 +17,7 @@ PAGE_POLICIES = ("lru", "mru", "fifo", "clock", "random")
 
 
 def run_sweep(profile):
-    graph = profile.build("G6", seed=0)
+    graph = GraphSpec.for_profile("G6", profile, 0).build()
     rows = []
     for page_policy in PAGE_POLICIES:
         for list_policy in ListPlacementPolicy:

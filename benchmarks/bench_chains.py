@@ -24,10 +24,10 @@ from repro.graphs.datasets import graph_family
 QUERY_PROBES = 5_000
 
 
-def run_suite(profile):
+def run_suite(profile, engine):
     from repro.experiments.figures import figure_chains
 
-    data = figure_chains(profile)
+    data = figure_chains(profile, engine)
 
     graph = graph_family("G9").generate(seed=0, scale=profile.scale)
     index = build_chain_index(graph, system=SystemConfig(buffer_pages=20))
@@ -51,8 +51,8 @@ def run_suite(profile):
     }
 
 
-def test_chains_vs_paper_suite(benchmark, profile):
-    out = benchmark.pedantic(run_suite, args=(profile,), rounds=1, iterations=1)
+def test_chains_vs_paper_suite(benchmark, profile, engine):
+    out = benchmark.pedantic(run_suite, args=(profile, engine), rounds=1, iterations=1)
     data = out["figure"]
     print("\n" + data.render())
     print(

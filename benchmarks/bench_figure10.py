@@ -1,10 +1,10 @@
 """Benchmark: regenerate Figure 10 (high selectivity: list unions)."""
 
 
-def test_figure10(benchmark, profile):
+def test_figure10(benchmark, profile, engine):
     from repro.experiments.figures import figure10
 
-    panels = benchmark.pedantic(figure10, args=(profile,), rounds=1, iterations=1)
+    panels = benchmark.pedantic(figure10, args=(profile, engine), rounds=1, iterations=1)
     for panel in panels.values():
         print("\n" + panel.render())
 

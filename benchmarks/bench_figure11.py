@@ -1,10 +1,10 @@
 """Benchmark: regenerate Figure 11 (high selectivity: marking %)."""
 
 
-def test_figure11(benchmark, profile):
+def test_figure11(benchmark, profile, engine):
     from repro.experiments.figures import figure11
 
-    panels = benchmark.pedantic(figure11, args=(profile,), rounds=1, iterations=1)
+    panels = benchmark.pedantic(figure11, args=(profile, engine), rounds=1, iterations=1)
     for panel in panels.values():
         print("\n" + panel.render())
 

@@ -1,10 +1,10 @@
 """Benchmark: regenerate Figure 12 (avg locality of unmarked arcs)."""
 
 
-def test_figure12(benchmark, profile):
+def test_figure12(benchmark, profile, engine):
     from repro.experiments.figures import figure12
 
-    panels = benchmark.pedantic(figure12, args=(profile,), rounds=1, iterations=1)
+    panels = benchmark.pedantic(figure12, args=(profile, engine), rounds=1, iterations=1)
     for panel in panels.values():
         print("\n" + panel.render())
 

@@ -1,10 +1,10 @@
 """Benchmark: regenerate Figure 13 (effect of the buffer pool size)."""
 
 
-def test_figure13(benchmark, profile):
+def test_figure13(benchmark, profile, engine):
     from repro.experiments.figures import figure13
 
-    panels = benchmark.pedantic(figure13, args=(profile,), rounds=1, iterations=1)
+    panels = benchmark.pedantic(figure13, args=(profile, engine), rounds=1, iterations=1)
     for panel in panels.values():
         print("\n" + panel.render())
 

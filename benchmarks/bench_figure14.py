@@ -1,10 +1,10 @@
 """Benchmark: regenerate Figure 14 (low-selectivity trends on G9)."""
 
 
-def test_figure14(benchmark, profile):
+def test_figure14(benchmark, profile, engine):
     from repro.experiments.figures import figure14
 
-    panels = benchmark.pedantic(figure14, args=(profile,), rounds=1, iterations=1)
+    panels = benchmark.pedantic(figure14, args=(profile, engine), rounds=1, iterations=1)
     for panel in panels.values():
         print("\n" + panel.render())
 

@@ -1,10 +1,10 @@
 """Benchmark: regenerate Figure 6 (Hybrid vs BTC, effect of blocking)."""
 
 
-def test_figure6(benchmark, profile):
+def test_figure6(benchmark, profile, engine):
     from repro.experiments.figures import figure6
 
-    data = benchmark.pedantic(figure6, args=(profile,), rounds=1, iterations=1)
+    data = benchmark.pedantic(figure6, args=(profile, engine), rounds=1, iterations=1)
     print("\n" + data.render())
 
     # HYB with ILIMIT = 0 is identical to BTC (the HYB-0 curve).

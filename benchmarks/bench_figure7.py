@@ -1,10 +1,10 @@
 """Benchmark: regenerate Figure 7 (successor tree algorithms vs BTC)."""
 
 
-def test_figure7(benchmark, profile):
+def test_figure7(benchmark, profile, engine):
     from repro.experiments.figures import figure7
 
-    panels = benchmark.pedantic(figure7, args=(profile,), rounds=1, iterations=1)
+    panels = benchmark.pedantic(figure7, args=(profile, engine), rounds=1, iterations=1)
     print("\n" + panels["a"].render())
     print("\n" + panels["b"].render())
 

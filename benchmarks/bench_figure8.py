@@ -1,10 +1,10 @@
 """Benchmark: regenerate Figure 8 (high-selectivity PTC: total I/O)."""
 
 
-def test_figure8(benchmark, profile):
+def test_figure8(benchmark, profile, engine):
     from repro.experiments.figures import figure8
 
-    panels = benchmark.pedantic(figure8, args=(profile,), rounds=1, iterations=1)
+    panels = benchmark.pedantic(figure8, args=(profile, engine), rounds=1, iterations=1)
     for panel in panels.values():
         print("\n" + panel.render())
 

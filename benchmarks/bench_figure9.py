@@ -1,10 +1,10 @@
 """Benchmark: regenerate Figure 9 (high selectivity: tuples generated)."""
 
 
-def test_figure9(benchmark, profile):
+def test_figure9(benchmark, profile, engine):
     from repro.experiments.figures import figure9
 
-    panels = benchmark.pedantic(figure9, args=(profile,), rounds=1, iterations=1)
+    panels = benchmark.pedantic(figure9, args=(profile, engine), rounds=1, iterations=1)
     for panel in panels.values():
         print("\n" + panel.render())
 

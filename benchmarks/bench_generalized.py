@@ -10,6 +10,7 @@ page I/O -- this bench quantifies the premium per semiring.
 
 from repro.core.query import Query, SystemConfig
 from repro.core.registry import make_algorithm
+from repro.experiments.parallel import GraphSpec
 from repro.metrics.report import format_table
 from repro.paths import (
     WeightedDigraph,
@@ -20,7 +21,7 @@ from repro.paths import (
 
 
 def run_comparison(profile):
-    graph = profile.build("G5", seed=0)
+    graph = GraphSpec.for_profile("G5", profile, 0).build()
     weighted = WeightedDigraph.uniform(graph, label=1)
     system = SystemConfig(buffer_pages=10)
     rows = []

@@ -3,10 +3,10 @@
 from repro.metrics.report import format_table
 
 
-def test_table2(benchmark, profile):
+def test_table2(benchmark, profile, engine):
     from repro.experiments.tables import table2
 
-    rows = benchmark.pedantic(table2, args=(profile,), rounds=1, iterations=1)
+    rows = benchmark.pedantic(table2, args=(profile, engine), rounds=1, iterations=1)
     print("\n" + format_table(rows, title="Table 2. Graph parameters"))
 
     by_name = {row["graph"]: row for row in rows}

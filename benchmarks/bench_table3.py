@@ -3,10 +3,10 @@
 from repro.metrics.report import format_table
 
 
-def test_table3(benchmark, profile):
+def test_table3(benchmark, profile, engine):
     from repro.experiments.tables import table3
 
-    rows = benchmark.pedantic(table3, args=(profile,), rounds=1, iterations=1)
+    rows = benchmark.pedantic(table3, args=(profile, engine), rounds=1, iterations=1)
     print("\n" + format_table(rows, title="Table 3. I/O and CPU cost of BTC (G6, CTC)"))
 
     assert [row["M"] for row in rows] == [10, 20, 50]

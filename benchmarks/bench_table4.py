@@ -3,11 +3,11 @@
 from repro.metrics.report import format_table
 
 
-def test_table4(benchmark, profile):
+def test_table4(benchmark, profile, engine):
     from repro.experiments.tables import table4
 
     rows = benchmark.pedantic(
-        table4, args=(profile,), kwargs={"selectivities": (5, 10)}, rounds=1, iterations=1
+        table4, args=(profile, engine), kwargs={"selectivities": (5, 10)}, rounds=1, iterations=1
     )
     print("\n" + format_table(rows, title="Table 4. JKB2 vs BTC for PTC queries (by width)"))
 

@@ -11,17 +11,18 @@ Each benchmark prints the regenerated rows/series (visible with
 paper reports -- who wins, and roughly how the curves move -- not the
 absolute numbers.
 
-Telemetry: a process-wide :class:`~repro.obs.sink.MemorySink` collects
-one :class:`~repro.obs.record.RunRecord` per algorithm run made by the
-suite, and at session end the records are folded into one entry per
-benchmark cell and written to ``BENCH_summary.json`` at the repository
-root -- the perf trajectory later changes are diffed against (see
-``python -m repro compare`` and docs/OBSERVABILITY.md).
-
-Execution: one :class:`~repro.experiments.parallel.ExperimentEngine`
-runs every table and figure grid of the session -- in this process at
+Execution: the session ``engine`` fixture is one
+:class:`~repro.experiments.parallel.ExperimentEngine` that every table
+and figure benchmark passes to its builder -- in this process at
 ``--repro-jobs 1``, across worker processes otherwise -- and its cell
 memo replays a cell another benchmark already ran.
+
+Telemetry: the engine's :class:`~repro.obs.sink.MemorySink` collects
+one :class:`~repro.obs.record.RunRecord` per run of every cell, and at
+session end the records are folded into one entry per benchmark cell
+and written to ``BENCH_summary.json`` at the repository root -- the
+perf trajectory later changes are diffed against (see ``python -m
+repro compare`` and docs/OBSERVABILITY.md).
 
 Repetitions: ``--repro-reps N`` sets the engine's repetition count, so
 every run is repeated N times at any ``--repro-jobs``.  The simulated
@@ -64,40 +65,22 @@ def profile(request):
     return get_profile(request.config.getoption("--repro-profile"))
 
 
-def pytest_sessionstart(session):
-    from repro.experiments.parallel import ExperimentEngine, set_engine
-    from repro.obs.sink import MemorySink, set_global_sink
-
-    sink = MemorySink()
-    session.config._repro_bench_sink = sink
-    session.config._repro_prev_sink = set_global_sink(sink)
+@pytest.fixture(scope="session")
+def engine(request):
+    from repro.experiments.parallel import ExperimentEngine
+    from repro.obs.bench import build_bench_summary, write_bench_summary
+    from repro.obs.sink import MemorySink
 
     # One engine (with its worker pool and per-worker graph caches at
     # --repro-jobs > 1) for the whole benchmark session; its records
-    # reach this process's MemorySink above in canonical order.
-    engine = ExperimentEngine(
-        jobs=session.config.getoption("--repro-jobs"),
-        reps=session.config.getoption("--repro-reps"),
-    )
-    session.config._repro_engine = engine
-    session.config._repro_prev_engine = set_engine(engine)
-
-
-def pytest_sessionfinish(session, exitstatus):
-    from repro.experiments.parallel import set_engine
-    from repro.obs.bench import build_bench_summary, write_bench_summary
-    from repro.obs.sink import set_global_sink
-
-    engine = getattr(session.config, "_repro_engine", None)
-    if engine is not None:
-        set_engine(getattr(session.config, "_repro_prev_engine", None))
-        engine.close()
-
-    sink = getattr(session.config, "_repro_bench_sink", None)
-    if sink is None:
-        return
-    set_global_sink(getattr(session.config, "_repro_prev_sink", None))
+    # reach the sink in canonical order.
+    sink = MemorySink()
+    with ExperimentEngine(
+        jobs=request.config.getoption("--repro-jobs"),
+        reps=request.config.getoption("--repro-reps"),
+        sink=sink,
+    ) as engine:
+        yield engine
     summary = build_bench_summary(sink.records)
-    if not summary:
-        return
-    write_bench_summary(summary, session.config.rootpath / "BENCH_summary.json")
+    if summary:
+        write_bench_summary(summary, request.config.rootpath / "BENCH_summary.json")

@@ -18,8 +18,8 @@ wrong-typed field -- raises :class:`~repro.errors.RecordFileError`
 naming ``file:line``.
 
 Resuming with the same journal replays each journaled cell -- the
-records go back out to the sinks in their canonical order and the
-metrics are returned without recomputation -- so a killed sweep
+records go back out to the engine's sink in their canonical order and
+the metrics are returned without recomputation -- so a killed sweep
 relaunched with ``--resume <journal>`` re-runs only the missing cells
 and produces output *byte-identical* to an uninterrupted run (every
 cell is a pure function of its key; see

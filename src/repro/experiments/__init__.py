@@ -8,24 +8,16 @@ One entry point per table and figure:
 * :func:`repro.experiments.figures.figure6` .. ``figure14`` -- the
   figure data series.
 
-Everything is parameterised by a :class:`ScaleProfile` so the full
-suite can run at the paper's scale (``paper``), at a faster reduced
-scale (``default``) or as a quick smoke test (``smoke``).
+Each takes a :class:`ScaleProfile` -- the paper's scale (``paper``), a
+faster reduced scale (``default``) or a quick smoke test (``smoke``) --
+and the :class:`ExperimentEngine` that runs its closure runs and emits
+their records to its ``sink``.  Run everything, as text and CSV::
 
-Run everything from the command line::
-
-    python -m repro.experiments.run_all --profile default
+    python -m repro.experiments.run_all --profile default --csv results/
 """
 
 from repro.experiments.config import PROFILES, ScaleProfile, get_profile
-from repro.experiments.parallel import (
-    Cell,
-    ExperimentEngine,
-    GraphSpec,
-    WorkUnit,
-    run_cells,
-    use_engine,
-)
+from repro.experiments.parallel import Cell, ExperimentEngine, GraphSpec, WorkUnit
 from repro.experiments.queries import QuerySpec
 
 __all__ = [
@@ -37,6 +29,4 @@ __all__ = [
     "ScaleProfile",
     "WorkUnit",
     "get_profile",
-    "run_cells",
-    "use_engine",
 ]

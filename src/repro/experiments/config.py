@@ -22,8 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.errors import ConfigurationError
-from repro.graphs.datasets import PAPER_NUM_NODES, GraphFamily, graph_family
-from repro.graphs.digraph import Digraph
+from repro.graphs.datasets import PAPER_NUM_NODES
 
 
 @dataclass(frozen=True)
@@ -34,12 +33,6 @@ class ScaleProfile:
     scale: int
     graphs_per_family: int
     source_samples: int
-
-    def build(self, family: str | GraphFamily, seed: int = 0) -> Digraph:
-        """Generate one graph of a family at this profile's scale."""
-        if isinstance(family, str):
-            family = graph_family(family)
-        return family.generate(seed=seed, num_nodes=PAPER_NUM_NODES, scale=self.scale)
 
     def scaled_selectivity(self, s: int) -> int:
         """Scale a paper selectivity value to this profile's graph size.

@@ -5,12 +5,13 @@ panel name to :class:`FigureData`): the x axis, one series per curve,
 and a title matching the paper's caption.  ``render()`` prints the
 series as an aligned text table -- the same rows the paper plots.
 
-Every figure declares its grid as a flat list of
+Every ``figureN(profile, engine)`` declares its grid as a flat list of
 :class:`~repro.experiments.parallel.Cell` descriptions and hands it to
-:func:`~repro.experiments.parallel.run_cells`, so the whole grid runs
-as the active engine's work units -- in-process, or fanned out across
-worker processes under ``run_all --jobs N``.  A cell with a permanently
-failed unit contributes ``nan`` to its series, visibly marking the hole.
+``engine.run_cells``, so the whole grid runs as that engine's work
+units -- in-process, or fanned out across worker processes under
+``run_all --jobs N`` -- and a cell another figure already ran replays
+from the engine's memo.  A cell with a permanently failed unit
+contributes ``nan`` to its series, visibly marking the hole.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.core.query import SystemConfig
-from repro.experiments.config import ScaleProfile, get_profile
-from repro.experiments.parallel import Cell, run_cells
+from repro.experiments.config import ScaleProfile
+from repro.experiments.parallel import Cell, ExperimentEngine
 from repro.experiments.queries import QuerySpec
 from repro.experiments.runner import AveragedMetrics
 from repro.graphs.datasets import graph_family
@@ -63,7 +64,8 @@ def _metric_series(
 # ---------------------------------------------------------------------------
 
 def figure6(
-    profile: ScaleProfile | str = "default",
+    profile: ScaleProfile,
+    engine: ExperimentEngine,
     family: str = "G9",
     ilimits: tuple[float, ...] = (0.0, 0.1, 0.2, 0.3),
     buffer_sizes: tuple[int, ...] = (10, 20, 50),
@@ -73,8 +75,6 @@ def figure6(
     The paper's finding: blocking *hurts* the Hybrid algorithm -- cost
     increases with ILIMIT, and HYB at ILIMIT=0 equals BTC.
     """
-    if isinstance(profile, str):
-        profile = get_profile(profile)
     spec = QuerySpec.full()
     data = FigureData(
         title=f"Figure 6. Hybrid vs BTC, full closure ({family})",
@@ -92,7 +92,7 @@ def figure6(
                 Cell("hyb", family, spec,
                      SystemConfig(buffer_pages=buffer_pages, ilimit=ilimit))
             )
-    results = iter(run_cells(cells, profile))
+    results = iter(engine.run_cells(cells, profile))
     for _buffer_pages in buffer_sizes:
         curves["BTC"].append(next(results).total_io)
         for ilimit in ilimits:
@@ -106,7 +106,8 @@ def figure6(
 # ---------------------------------------------------------------------------
 
 def figure7(
-    profile: ScaleProfile | str = "default",
+    profile: ScaleProfile,
+    engine: ExperimentEngine,
     families: tuple[str, ...] = ("G2", "G5", "G8", "G11"),
     buffer_pages: int = 20,
 ) -> dict[str, FigureData]:
@@ -118,13 +119,11 @@ def figure7(
     grows; JKB's preprocessing explodes with the degree; the tree
     algorithms generate far fewer duplicates (panel b).
     """
-    if isinstance(profile, str):
-        profile = get_profile(profile)
     spec = QuerySpec.full()
     system = SystemConfig(buffer_pages=buffer_pages)
     names = ("btc", "spn", "jkb", "jkb2")
     degrees = [graph_family(family_name).avg_out_degree for family_name in families]
-    results = iter(run_cells(
+    results = iter(engine.run_cells(
         [Cell(name, family_name, spec, system)
          for family_name in families for name in names],
         profile,
@@ -166,13 +165,14 @@ _HIGH_SEL_ALGOS = ("btc", "bj", "jkb2", "srch")
 
 def _high_selectivity_cells(
     profile: ScaleProfile,
+    engine: ExperimentEngine,
     family: str,
     selectivities: tuple[int, ...],
     buffer_pages: int,
 ) -> tuple[list[int], dict[str, list[AveragedMetrics]]]:
     system = SystemConfig(buffer_pages=buffer_pages)
     xs = [profile.scaled_selectivity(s) for s in selectivities]
-    results = iter(run_cells(
+    results = iter(engine.run_cells(
         [Cell(name, family, QuerySpec.selection(profile.scaled_selectivity(s)), system)
          for s in selectivities for name in _HIGH_SEL_ALGOS],
         profile,
@@ -185,7 +185,8 @@ def _high_selectivity_cells(
 
 
 def _high_selectivity_figure(
-    profile: ScaleProfile | str,
+    profile: ScaleProfile,
+    engine: ExperimentEngine,
     metric: str,
     figure_title: str,
     families: tuple[str, ...],
@@ -193,11 +194,10 @@ def _high_selectivity_figure(
     buffer_pages: int,
     algorithms: tuple[str, ...] = _HIGH_SEL_ALGOS,
 ) -> dict[str, FigureData]:
-    if isinstance(profile, str):
-        profile = get_profile(profile)
     panels: dict[str, FigureData] = {}
     for panel, family in zip("ab", families):
-        xs, cells = _high_selectivity_cells(profile, family, selectivities, buffer_pages)
+        xs, cells = _high_selectivity_cells(profile, engine, family, selectivities,
+                                            buffer_pages)
         cells = {name: cells[name] for name in algorithms}
         panels[panel] = FigureData(
             title=f"{figure_title} ({family})",
@@ -209,7 +209,8 @@ def _high_selectivity_figure(
 
 
 def figure8(
-    profile: ScaleProfile | str = "default",
+    profile: ScaleProfile,
+    engine: ExperimentEngine,
     families: tuple[str, ...] = ("G4", "G11"),
     selectivities: tuple[int, ...] = HIGH_SELECTIVITIES,
     buffer_pages: int = 10,
@@ -217,13 +218,14 @@ def figure8(
     """Total I/O for high-selectivity PTC (the paper's two extremes:
     JKB2 at ~1/3 of BTC's I/O on G4, and 2-3x BTC's I/O on G11)."""
     return _high_selectivity_figure(
-        profile, "total_io", "Figure 8. High selectivity: total I/O",
+        profile, engine, "total_io", "Figure 8. High selectivity: total I/O",
         families, selectivities, buffer_pages,
     )
 
 
 def figure9(
-    profile: ScaleProfile | str = "default",
+    profile: ScaleProfile,
+    engine: ExperimentEngine,
     families: tuple[str, ...] = ("G4", "G11"),
     selectivities: tuple[int, ...] = HIGH_SELECTIVITIES,
     buffer_pages: int = 10,
@@ -231,13 +233,14 @@ def figure9(
     """Tuples generated (the selection-efficiency numerator's inverse):
     JKB2 generates under 1% of BTC/BJ's tuples; SRCH is optimal."""
     return _high_selectivity_figure(
-        profile, "tuples_generated", "Figure 9. High selectivity: tuples generated",
+        profile, engine, "tuples_generated", "Figure 9. High selectivity: tuples generated",
         families, selectivities, buffer_pages,
     )
 
 
 def figure10(
-    profile: ScaleProfile | str = "default",
+    profile: ScaleProfile,
+    engine: ExperimentEngine,
     families: tuple[str, ...] = ("G4", "G11"),
     selectivities: tuple[int, ...] = HIGH_SELECTIVITIES,
     buffer_pages: int = 10,
@@ -245,26 +248,28 @@ def figure10(
     """Successor-list unions: SRCH's count grows rapidly with s; JKB2
     performs many more unions than BTC/BJ (poor marking utilisation)."""
     return _high_selectivity_figure(
-        profile, "list_unions", "Figure 10. High selectivity: successor list unions",
+        profile, engine, "list_unions", "Figure 10. High selectivity: successor list unions",
         families, selectivities, buffer_pages,
     )
 
 
 def figure11(
-    profile: ScaleProfile | str = "default",
+    profile: ScaleProfile,
+    engine: ExperimentEngine,
     families: tuple[str, ...] = ("G4", "G11"),
     selectivities: tuple[int, ...] = HIGH_SELECTIVITIES,
     buffer_pages: int = 10,
 ) -> dict[str, FigureData]:
     """Marking percentage: near zero for JKB2, zero for SRCH."""
     return _high_selectivity_figure(
-        profile, "marking_percentage", "Figure 11. High selectivity: marking percentage",
+        profile, engine, "marking_percentage", "Figure 11. High selectivity: marking percentage",
         families, selectivities, buffer_pages,
     )
 
 
 def figure12(
-    profile: ScaleProfile | str = "default",
+    profile: ScaleProfile,
+    engine: ExperimentEngine,
     families: tuple[str, ...] = ("G4", "G11"),
     selectivities: tuple[int, ...] = HIGH_SELECTIVITIES,
     buffer_pages: int = 10,
@@ -272,7 +277,7 @@ def figure12(
     """Average locality of unmarked (processed) arcs: much worse for
     JKB2, predicting its extra I/O per union."""
     return _high_selectivity_figure(
-        profile, "avg_unmarked_locality",
+        profile, engine, "avg_unmarked_locality",
         "Figure 12. High selectivity: avg unmarked-arc locality",
         families, selectivities, buffer_pages,
     )
@@ -283,7 +288,8 @@ def figure12(
 # ---------------------------------------------------------------------------
 
 def figure13(
-    profile: ScaleProfile | str = "default",
+    profile: ScaleProfile,
+    engine: ExperimentEngine,
     families: tuple[str, ...] = ("G4", "G11"),
     selectivity: int = 10,
     buffer_sizes: tuple[int, ...] = BUFFER_SIZES,
@@ -295,13 +301,11 @@ def figure13(
     sensitive -- its small special-node trees become memory-resident and
     its computation-phase I/O almost vanishes.
     """
-    if isinstance(profile, str):
-        profile = get_profile(profile)
     algorithms = ("btc", "jkb2", "srch")
     spec = QuerySpec.selection(profile.scaled_selectivity(selectivity))
     panels: dict[str, FigureData] = {}
     for io_panel, hit_panel, family in zip("ab", "cd", families):
-        results = iter(run_cells(
+        results = iter(engine.run_cells(
             [Cell(name, family, spec, SystemConfig(buffer_pages=buffer_pages))
              for buffer_pages in buffer_sizes for name in algorithms],
             profile,
@@ -330,7 +334,8 @@ def figure13(
 # ---------------------------------------------------------------------------
 
 def figure14(
-    profile: ScaleProfile | str = "default",
+    profile: ScaleProfile,
+    engine: ExperimentEngine,
     family: str = "G9",
     selectivities: tuple[int, ...] = LOW_SELECTIVITIES,
     buffer_pages: int = 20,
@@ -338,12 +343,10 @@ def figure14(
     """Low-selectivity PTC: I/O, tuples generated, marking percentage
     and unions for BTC, BJ and JKB2 as s approaches n (where the three
     converge to the full closure)."""
-    if isinstance(profile, str):
-        profile = get_profile(profile)
     algorithms = ("btc", "bj", "jkb2")
     system = SystemConfig(buffer_pages=buffer_pages)
     xs = [profile.scaled_selectivity(s) for s in selectivities]
-    results = iter(run_cells(
+    results = iter(engine.run_cells(
         [Cell(name, family,
               QuerySpec.selection(profile.scaled_selectivity(s)), system)
          for s in selectivities for name in algorithms],
@@ -375,7 +378,8 @@ def figure14(
 # ---------------------------------------------------------------------------
 
 def figure_chains(
-    profile: ScaleProfile | str = "default",
+    profile: ScaleProfile,
+    engine: ExperimentEngine,
     family: str = "G9",
     buffer_sizes: tuple[int, ...] = (10, 20, 50),
     ilimit: float = 0.2,
@@ -391,8 +395,6 @@ def figure_chains(
     repeated successor-list unions, and how each side responds to
     buffer pressure.
     """
-    if isinstance(profile, str):
-        profile = get_profile(profile)
     spec = QuerySpec.full()
     data = FigureData(
         title=f"Figure C1. Chain-decomposition index vs BTC/HYB, "
@@ -402,7 +404,7 @@ def figure_chains(
     )
     names = ("btc", "hyb", "chains")
     labels = {"btc": "BTC", "hyb": f"HYB-{ilimit:g}", "chains": "CHAINS"}
-    results = iter(run_cells(
+    results = iter(engine.run_cells(
         [Cell(name, family, spec,
               SystemConfig(buffer_pages=buffer_pages, ilimit=ilimit))
          for buffer_pages in buffer_sizes for name in names],

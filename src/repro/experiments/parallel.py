@@ -20,11 +20,11 @@ produce **bit-identical** aggregates:
 * **Canonical ordering.**  Units hand their
   :class:`~repro.core.result.ClosureResult` and
   :class:`~repro.obs.record.RunRecord` list back to the engine, which
-  emits the records to *its* sinks in cell order, then graph seed,
+  emits the records to its one ``sink`` in cell order, then graph seed,
   then sample index, and averages one result per unit with
-  :meth:`AveragedMetrics.from_results`.  Worker processes never emit to
-  a sink themselves (a forked worker inherits the parent's global sink;
-  :func:`_worker_init` detaches it).
+  :meth:`AveragedMetrics.from_results`.  Worker processes never emit:
+  a sink belongs to the engine object in the parent, and only
+  :meth:`ExperimentEngine.run_cells` writes to it.
 * **Repetitions.**  ``ExperimentEngine(reps=N)`` runs each unit's
   algorithm N times and yields one record per repetition; the
   simulated counters are deterministic, so this only multiplies the
@@ -97,7 +97,7 @@ from repro.graphs.datasets import PAPER_NUM_NODES, build_graph
 from repro.graphs.digraph import Digraph
 from repro.graphs.generator import generate_dag
 from repro.obs.record import RunRecord, system_config_dict
-from repro.obs.sink import RunSink, get_global_sink, reset_worker_sinks
+from repro.obs.sink import RunSink
 from repro.obs.spans import SpanRecorder
 from repro.obs.tracing import TraceCollector, TraceEventRecord
 from repro.serve.retry import DEFAULT_BACKOFF_BASE, BackoffPolicy
@@ -135,7 +135,7 @@ class GraphSpec:
 
     @classmethod
     def for_profile(cls, family: str, profile: ScaleProfile, seed: int) -> "GraphSpec":
-        """The graph a profile cell builds (same as ``profile.build``)."""
+        """The graph a profile cell (or table row) builds, at ``seed``."""
         return cls(seed=seed, family=family, num_nodes=PAPER_NUM_NODES, scale=profile.scale)
 
     @classmethod
@@ -268,17 +268,11 @@ class UnitTimeout(Exception):
 def _worker_init() -> None:
     """Initialise a worker process.
 
-    Forked workers inherit the parent's process-wide sink (the
-    benchmark suite installs a :class:`MemorySink`, ``run_all`` may
-    install a :class:`JsonlSink`); records are merged by the parent in
-    canonical order, so emitting in the worker would double-count.
-
     The chaos plane re-arms from ``REPRO_CHAOS`` (the drivers export
     the spec before building the pool), so fault opportunities are
     counted per process -- documented behaviour: an ``after=N`` clause
     means "the N-th opportunity *in that worker*".
     """
-    reset_worker_sinks()
     _GRAPH_CACHE.clear()
     arm_from_env()
 
@@ -470,13 +464,17 @@ class ExperimentEngine:
     worker pool for the engine's whole lifetime, so the per-worker graph
     caches persist across every table and figure of a ``run_all``
     sweep.  ``reps`` is how many times each unit's algorithm runs.
-    Close (or use as a context manager) to release the workers, the
-    cell memo and the in-process graph cache.
+    ``sink`` receives every record of every cell :meth:`run_cells`
+    returns, memo replays included; with ``None`` the records go
+    nowhere.  Close (or use as a context manager) to release the
+    workers, the cell memo and the in-process graph cache; the sink is
+    the caller's to close.
     """
 
     def __init__(self, jobs: int = 1, timeout: float | None = None,
                  retries: int = DEFAULT_RETRIES, backoff: float = DEFAULT_BACKOFF,
-                 checkpoint: SweepJournal | None = None, reps: int = 1) -> None:
+                 checkpoint: SweepJournal | None = None, reps: int = 1,
+                 sink: RunSink | None = None) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
         if reps < 1:
@@ -487,6 +485,7 @@ class ExperimentEngine:
         self.backoff = backoff
         self.checkpoint = checkpoint
         self.reps = reps
+        self.sink = sink
         self.failures: list[UnitError] = []
         self._pool: ProcessPoolExecutor | None = None
         self._graphs: dict[GraphSpec, Digraph] = {}
@@ -527,7 +526,7 @@ class ExperimentEngine:
         self.close()
         return False
 
-    # -- unit-level API (the CLI's runs) -------------------------------------
+    # -- unit-level API (the CLI's runs, Table 3) ----------------------------
 
     def graph(self, spec: GraphSpec) -> Digraph:
         """``spec``'s graph, from the cache this engine's in-process units
@@ -540,7 +539,8 @@ class ExperimentEngine:
         Units run in this process when ``jobs == 1`` and in the pool
         otherwise.  Failed units are retried ``retries`` times;
         permanent failures are returned as outcomes with ``.error`` set
-        *and* appended to :attr:`failures`.
+        *and* appended to :attr:`failures`.  Nothing is emitted to
+        :attr:`sink`: the caller reads the records off the outcomes.
         """
         if not units:
             return []
@@ -605,22 +605,17 @@ class ExperimentEngine:
 
     # -- cell-level API (tables and figures) ---------------------------------
 
-    def run_cells(
-        self,
-        cells: Sequence[Cell],
-        profile: ScaleProfile,
-        sink: RunSink | None = None,
-    ) -> list[AveragedMetrics]:
+    def run_cells(self, cells: Sequence[Cell], profile: ScaleProfile) -> list[AveragedMetrics]:
         """Execute one cell grid and return one average per cell, in order.
 
         Cells already in the memo or the :attr:`checkpoint` journal
         replay; the units of all other cells (each distinct cell once)
         go through :meth:`map_units` together.  Every cell's records are
-        then emitted in cell order.  A cell with a permanently failed
-        unit yields :func:`failed_metrics` (its errors are on
-        :attr:`failures`) and is neither memoised nor journaled, so a
-        resume retries it; every other fresh cell is memoised and
-        durably appended to the journal.
+        then emitted to :attr:`sink` in cell order.  A cell with a
+        permanently failed unit yields :func:`failed_metrics` (its
+        errors are on :attr:`failures`) and is neither memoised nor
+        journaled, so a resume retries it; every other fresh cell is
+        memoised and durably appended to the journal.
         """
         keys = [self._cell_key(cell, profile) for cell in cells]
         fresh: dict[str, int] = {}
@@ -650,7 +645,9 @@ class ExperimentEngine:
                 results.append(failed_metrics(cell.algorithm))
                 continue
             metrics, records = memo
-            self._emit(records, sink)
+            if self.sink is not None:
+                for record in records:
+                    self.sink.emit(record)
             results.append(metrics)
         return results
 
@@ -703,60 +700,3 @@ class ExperimentEngine:
             system_config_dict(cell.system),
             dataclasses.asdict(profile),
         )
-
-    @staticmethod
-    def _emit(records: Sequence[RunRecord], sink: RunSink | None) -> None:
-        """Emit to ``sink`` and to the process-wide sink (once if they
-        are the same sink)."""
-        global_sink = get_global_sink()
-        for record in records:
-            if sink is not None:
-                sink.emit(record)
-            if global_sink is not None and global_sink is not sink:
-                global_sink.emit(record)
-
-
-# ---------------------------------------------------------------------------
-# The process-wide active engine (what tables/figures route through).
-# ---------------------------------------------------------------------------
-
-_active: ExperimentEngine | None = None
-
-
-def get_engine() -> ExperimentEngine:
-    """The active engine; a fresh in-process engine when none is set."""
-    return _active if _active is not None else ExperimentEngine()
-
-
-def set_engine(engine: ExperimentEngine | None) -> ExperimentEngine | None:
-    """Install (or clear) the process-wide engine; returns the previous."""
-    global _active
-    previous = _active
-    _active = engine
-    return previous
-
-
-@contextmanager
-def use_engine(engine: ExperimentEngine) -> Iterator[ExperimentEngine]:
-    """Scope an engine as the process-wide active one."""
-    previous = set_engine(engine)
-    try:
-        yield engine
-    finally:
-        set_engine(previous)
-
-
-def run_cells(
-    cells: Sequence[Cell],
-    profile: ScaleProfile,
-    sink: RunSink | None = None,
-) -> list[AveragedMetrics]:
-    """Run a cell grid through the active engine, or through a fresh
-    in-process engine that is closed afterwards (so no memoised cell or
-    generated graph outlives the call)."""
-    engine = get_engine()
-    try:
-        return engine.run_cells(cells, profile, sink=sink)
-    finally:
-        if engine is not _active:
-            engine.close()

@@ -8,7 +8,8 @@ folds one result per unit into an :class:`AveragedMetrics` -- the
 simulated counters only, so the averages are bit-identical at any
 ``--jobs``.  Run one cell with::
 
-    run_cells([Cell(algorithm, family, query, system)], profile, sink)
+    with ExperimentEngine(sink=sink) as engine:
+        (metrics,) = engine.run_cells([Cell(algorithm, family, query, system)], profile)
 """
 
 from __future__ import annotations

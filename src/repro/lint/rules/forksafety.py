@@ -16,9 +16,8 @@ corrupt multi-process sweeps:
   makes unit results depend on scheduling order — the exact
   non-determinism the paper's methodology (fixed seeds, pinned page
   layouts) exists to exclude.  The sanctioned pattern is a reset hook:
-  the ``ProcessPoolExecutor(initializer=...)`` function (plus any
-  names listed in ``reset_hooks``) must clear or reassign the
-  global.
+  the ``ProcessPoolExecutor(initializer=...)`` function must clear
+  or reassign the global.
 
 The reachability walk is a same-module call-graph BFS from every
 ``.submit(...)`` target; attribute calls and imports are not followed
@@ -76,7 +75,6 @@ class ForkSafetyRule(Rule):
             "io.open",
             "ExperimentEngine",
         )
-        self.reset_hooks: tuple[str, ...] = ()
 
     # -- entry -----------------------------------------------------------------
 
@@ -272,11 +270,7 @@ class ForkSafetyRule(Rule):
         ctx: FileContext,
         module_funcs: dict[str, ast.FunctionDef | ast.AsyncFunctionDef],
     ) -> list[ast.FunctionDef | ast.AsyncFunctionDef]:
-        found = [
-            module_funcs[name]
-            for name in self.reset_hooks
-            if name in module_funcs
-        ]
+        found: list[ast.FunctionDef | ast.AsyncFunctionDef] = []
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
                 continue

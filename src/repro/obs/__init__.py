@@ -9,9 +9,10 @@ durable.  See ``docs/OBSERVABILITY.md`` for the full guide.
 * :mod:`repro.obs.record` -- :class:`RunRecord`, the JSON-serialisable
   description of one run (workload, config, metrics, per-phase I/O,
   spans, optional profile folded from a collector's page events);
-* :mod:`repro.obs.sink` -- JSONL / memory sinks, a process-wide sink,
-  and :class:`~repro.obs.sink.RecordFile`, the durable JSONL file that
-  run records and the sweep journal are written to and read from;
+* :mod:`repro.obs.sink` -- JSONL / memory sinks (an experiment
+  engine's ``sink``), and :class:`~repro.obs.sink.RecordFile`, the
+  durable JSONL file that run records and the sweep journal are
+  written to and read from;
 * :mod:`repro.obs.compare` -- the noise-aware baseline-vs-candidate
   regression gate behind ``python -m repro compare``;
 * :mod:`repro.obs.tracing` -- the structured engine event trace
@@ -44,8 +45,6 @@ _LAZY = {
     "JsonlSink": "repro.obs.sink",
     "MemorySink": "repro.obs.sink",
     "RunSink": "repro.obs.sink",
-    "get_global_sink": "repro.obs.sink",
-    "set_global_sink": "repro.obs.sink",
     "TraceCollector": "repro.obs.tracing",
     "TraceEventRecord": "repro.obs.tracing",
     "chrome_trace": "repro.obs.tracing",

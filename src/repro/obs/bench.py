@@ -1,7 +1,7 @@
 """Aggregation of per-run records into the benchmark perf trajectory.
 
-The benchmark suite installs a :class:`~repro.obs.sink.MemorySink` as
-the process-wide sink, so every run the experiment engine makes for
+The benchmark suite gives its session's experiment engine a
+:class:`~repro.obs.sink.MemorySink`, so every run that engine makes for
 the regenerated tables and figures emits one
 :class:`~repro.obs.record.RunRecord`.  At session end those records are
 folded into one entry per *benchmark cell* (algorithm x workload x

@@ -28,7 +28,7 @@ from pathlib import Path
 from typing import Any, Sequence
 
 from repro.obs.heatmap import page_heatmap, residency_timeline
-from repro.obs.record import RunRecord
+from repro.obs.record import NUMBER, RunRecord, check_type
 from repro.obs.tracing import TraceEventRecord
 
 __all__ = ["build_report", "render_report"]
@@ -490,8 +490,19 @@ def render_report(
 
 
 def load_bench_entries(path: str | Path) -> list[dict[str, Any]]:
-    """Load a ``BENCH_summary.json`` file for the trajectory panel."""
+    """Load a ``BENCH_summary.json`` file for the trajectory panel: an
+    array of objects whose ``total_io`` and ``runs``, if present, are
+    numbers.  A bad entry raises :class:`ValueError` naming ``FILE:
+    entry N`` (from 1)."""
     entries = json.loads(Path(path).read_text())
     if not isinstance(entries, list):
         raise ValueError(f"{path}: expected a JSON array of bench entries")
+    for number, entry in enumerate(entries, start=1):
+        try:
+            check_type("the entry", entry, dict)
+            for name in ("total_io", "runs"):
+                if name in entry:
+                    check_type(name, entry[name], NUMBER)
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: entry {number}: {exc}") from exc
     return entries

@@ -1,8 +1,11 @@
 """Run-record sinks, and the one durable record file behind them.
 
-The default everywhere is *no sink*: the experiment engine takes
+The default everywhere is *no sink*: an
+:class:`~repro.experiments.parallel.ExperimentEngine` is built with
 ``sink=None`` and the algorithms build no record at all, so a run's
-records go nowhere unless asked for.  Two sinks are provided:
+records go nowhere unless asked for.  An engine given a sink emits
+every record of every cell it runs to it, in canonical order; there is
+no process-wide sink.  Two sinks are provided:
 
 * :class:`JsonlSink` -- appends one JSON line per record to a
   :class:`RecordFile`;
@@ -14,13 +17,6 @@ the run-record file above and the sweep journal of
 :class:`~repro.chaos.checkpoint.SweepJournal` both append through it,
 and :func:`~repro.obs.compare.load_records` and the journal both read
 through it.
-
-A process-wide *global sink* can also be installed with
-:func:`set_global_sink`; the experiment engine's
-:meth:`~repro.experiments.parallel.ExperimentEngine.run_cells` emits to
-it in addition to any explicitly passed sink.  The benchmark
-suite uses this to collect one record per run without threading a sink
-through every table/figure function.
 """
 
 from __future__ import annotations
@@ -173,36 +169,3 @@ class JsonlSink(RunSink):
 
     def close(self) -> None:
         self._file.close()
-
-
-# -- process-wide sink -------------------------------------------------------
-
-_global_sink: RunSink | None = None
-
-
-def set_global_sink(sink: RunSink | None) -> RunSink | None:
-    """Install (or clear, with ``None``) the process-wide sink.
-
-    Returns the previously installed sink so callers can restore it.
-    """
-    global _global_sink
-    previous = _global_sink
-    _global_sink = sink
-    return previous
-
-
-def get_global_sink() -> RunSink | None:
-    """The currently installed process-wide sink, if any."""
-    return _global_sink
-
-
-def reset_worker_sinks() -> None:
-    """Detach inherited sinks inside a forked worker process.
-
-    The parallel experiment engine merges run records in the *parent*
-    (in canonical order); a forked worker that kept the inherited
-    global sink would emit every record a second time -- into a
-    :class:`MemorySink` nobody reads, or worse, into the parent's JSONL
-    file out of order.  Worker initialisers call this first.
-    """
-    set_global_sink(None)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from repro.core.query import SystemConfig
 from repro.experiments.config import get_profile
-from repro.experiments.parallel import Cell, GraphSpec, run_cells
+from repro.experiments.parallel import Cell, ExperimentEngine, GraphSpec
 from repro.experiments.queries import QuerySpec
 
 CELL = dict(algorithm="jkb2", family="G5")
@@ -28,11 +28,13 @@ CELL = dict(algorithm="jkb2", family="G5")
 
 
 def _run_cell():
-    (metrics,) = run_cells(
-        [Cell(CELL["algorithm"], CELL["family"], QuerySpec.selection(3),
-              SystemConfig(buffer_pages=10))],
-        get_profile("smoke"),
-    )
+    """The cell on a fresh engine: no memo or graph carries over."""
+    with ExperimentEngine() as engine:
+        (metrics,) = engine.run_cells(
+            [Cell(CELL["algorithm"], CELL["family"], QuerySpec.selection(3),
+                  SystemConfig(buffer_pages=10))],
+            get_profile("smoke"),
+        )
     return metrics
 
 
@@ -56,12 +58,13 @@ _SUBPROCESS_SCRIPT = """
 import dataclasses, json
 from repro.core.query import SystemConfig
 from repro.experiments.config import get_profile
-from repro.experiments.parallel import Cell, run_cells
+from repro.experiments.parallel import Cell, ExperimentEngine
 from repro.experiments.queries import QuerySpec
 
-(metrics,) = run_cells([Cell("{algorithm}", "{family}", QuerySpec.selection(3),
-                             SystemConfig(buffer_pages=10))],
-                       get_profile("smoke"))
+with ExperimentEngine() as engine:
+    (metrics,) = engine.run_cells([Cell("{algorithm}", "{family}", QuerySpec.selection(3),
+                                        SystemConfig(buffer_pages=10))],
+                                  get_profile("smoke"))
 print(json.dumps(dataclasses.asdict(metrics), sort_keys=True))
 """
 

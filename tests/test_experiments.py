@@ -6,16 +6,25 @@ from repro.core.query import SystemConfig
 from repro.errors import ConfigurationError
 from repro.experiments.config import PROFILES, get_profile
 from repro.experiments.figures import FigureData, figure6, figure8, figure14
-from repro.experiments.parallel import Cell, ExperimentEngine, GraphSpec, WorkUnit, run_cells
+from repro.experiments.parallel import Cell, ExperimentEngine, GraphSpec, WorkUnit
 from repro.experiments.queries import QuerySpec
 from repro.experiments.tables import table2, table3, table4
 from repro.graphs.datasets import build_graph
-from repro.obs.sink import MemorySink, get_global_sink, set_global_sink
+from repro.obs.sink import MemorySink
+
+SMOKE = get_profile("smoke")
+
+
+@pytest.fixture
+def engine():
+    with ExperimentEngine() as engine:
+        yield engine
 
 
 def _btc_g2_cell(query, profile, sink=None):
     """One BTC cell on G2 through the engine's repetition protocol."""
-    (averaged,) = run_cells([Cell("btc", "G2", query, SystemConfig())], profile, sink=sink)
+    with ExperimentEngine(sink=sink) as engine:
+        (averaged,) = engine.run_cells([Cell("btc", "G2", query, SystemConfig())], profile)
     return averaged
 
 
@@ -34,7 +43,7 @@ class TestProfiles:
         assert smoke.scaled_selectivity(2000) == 250
 
     def test_build_respects_scale(self):
-        graph = get_profile("smoke").build("G1", seed=0)
+        graph = GraphSpec.for_profile("G1", SMOKE, 0).build()
         assert graph.num_nodes == 250
 
 
@@ -96,20 +105,8 @@ class TestRunRecordEmission:
         _btc_g2_cell(QuerySpec.full(), default, sink=sink)
         assert len(sink.records) == default.graphs_per_family * 1
 
-    def test_global_sink_receives_runs_too(self):
-        smoke = get_profile("smoke")
-        sink = MemorySink()
-        previous = set_global_sink(sink)
-        try:
-            _btc_g2_cell(QuerySpec.selection(3), smoke)
-        finally:
-            set_global_sink(previous)
-        assert len(sink.records) == smoke.graphs_per_family * smoke.source_samples
-
     def test_no_sink_means_no_records(self):
-        smoke = get_profile("smoke")
-        assert get_global_sink() is None
-        averaged = _btc_g2_cell(QuerySpec.selection(3), smoke)
+        averaged = _btc_g2_cell(QuerySpec.selection(3), SMOKE)
         assert averaged.runs == 1  # runs fine with zero telemetry attached
 
     def test_averaged_metrics_match_hand_computed_means(self):
@@ -127,60 +124,60 @@ class TestRunRecordEmission:
 
 
 class TestTables:
-    def test_table2_covers_all_families(self):
-        rows = table2("smoke")
+    def test_table2_covers_all_families(self, engine):
+        rows = table2(SMOKE, engine)
         assert [row["graph"] for row in rows] == [f"G{i}" for i in range(1, 13)]
         for row in rows:
             assert row["arcs"] > 0
             assert row["H"] >= 1
 
-    def test_table2_trends_match_the_paper(self):
+    def test_table2_trends_match_the_paper(self, engine):
         """Higher F / lower l gives deeper graphs; irredundant arc
         locality is no worse than overall locality (Section 5.3)."""
-        rows = {row["graph"]: row for row in table2("smoke")}
+        rows = {row["graph"]: row for row in table2(SMOKE, engine)}
         assert rows["G12"]["H"] > rows["G3"]["H"]
         for row in rows.values():
             assert row["avg_irred_loc"] <= row["avg_loc"]
 
-    def test_table3_shows_io_bound_execution(self):
-        rows = table3("smoke")
+    def test_table3_shows_io_bound_execution(self, engine):
+        rows = table3(SMOKE, engine)
         assert [row["M"] for row in rows] == [10, 20, 50]
         assert all(row["io_bound"] for row in rows)
         assert rows[0]["page_io"] >= rows[-1]["page_io"]
 
-    def test_table4_is_sorted_by_width(self):
-        rows = table4("smoke", selectivities=(5,))
+    def test_table4_is_sorted_by_width(self, engine):
+        rows = table4(SMOKE, engine, selectivities=(5,))
         widths = [row["W"] for row in rows]
         assert widths == sorted(widths)
         assert all(row["jkb2/btc@s=5"] > 0 for row in rows)
 
 
 class TestFigures:
-    def test_figure6_has_all_curves(self):
-        data = figure6("smoke", buffer_sizes=(10, 20))
+    def test_figure6_has_all_curves(self, engine):
+        data = figure6(SMOKE, engine, buffer_sizes=(10, 20))
         assert isinstance(data, FigureData)
         assert set(data.series) == {"BTC", "HYB-0", "HYB-0.1", "HYB-0.2", "HYB-0.3"}
         assert data.xs == [10, 20]
 
-    def test_figure6_hyb0_equals_btc(self):
-        data = figure6("smoke", buffer_sizes=(10,))
+    def test_figure6_hyb0_equals_btc(self, engine):
+        data = figure6(SMOKE, engine, buffer_sizes=(10,))
         assert data.series["HYB-0"] == data.series["BTC"]
 
-    def test_figure8_panels(self):
-        panels = figure8("smoke", selectivities=(2, 20))
+    def test_figure8_panels(self, engine):
+        panels = figure8(SMOKE, engine, selectivities=(2, 20))
         assert set(panels) == {"a", "b"}
         for panel in panels.values():
             assert set(panel.series) == {"BTC", "BJ", "JKB2", "SRCH"}
             assert len(panel.xs) == 2
 
-    def test_figure14_converges_at_full_selectivity(self):
+    def test_figure14_converges_at_full_selectivity(self, engine):
         """At s = n the BTC and BJ curves coincide (Section 6.3.6)."""
-        panels = figure14("smoke", selectivities=(2000,))
+        panels = figure14(SMOKE, engine, selectivities=(2000,))
         io = panels["a"].series
         assert io["BTC"][-1] == io["BJ"][-1]
 
-    def test_render_produces_text(self):
-        data = figure6("smoke", buffer_sizes=(10,))
+    def test_render_produces_text(self, engine):
+        data = figure6(SMOKE, engine, buffer_sizes=(10,))
         text = data.render()
         assert "BTC" in text
         assert "M" in text

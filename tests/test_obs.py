@@ -10,7 +10,7 @@ from repro.core.registry import ALGORITHM_NAMES, make_algorithm
 from repro.obs.bench import build_bench_summary
 from repro.obs.compare import compare_runs, load_records
 from repro.obs.record import RunRecord, io_stats_dict, summarise_trace
-from repro.obs.sink import JsonlSink, MemorySink, get_global_sink, set_global_sink
+from repro.obs.sink import JsonlSink, MemorySink
 from repro.obs.spans import NULL_SPAN, SpanRecorder, span
 from repro.obs.tracing import TraceCollector
 
@@ -163,15 +163,6 @@ class TestSinks:
         memory = MemorySink()
         memory.emit(RunRecord(algorithm="btc"))
         assert len(memory) == 1
-
-    def test_global_sink_install_and_restore(self):
-        sink = MemorySink()
-        previous = set_global_sink(sink)
-        try:
-            assert get_global_sink() is sink
-        finally:
-            set_global_sink(previous)
-        assert get_global_sink() is previous
 
 
 def _record(algorithm="btc", family="G1", query=None, total_io=100.0, cpu=1.0):

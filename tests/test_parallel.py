@@ -25,12 +25,11 @@ from repro.experiments.parallel import (
     WorkUnit,
     execute_unit,
     failed_metrics,
-    get_engine,
-    use_engine,
 )
 from repro.experiments.queries import QuerySpec
 from repro.experiments.run_all import main as run_all_main
 from repro.experiments.runner import AveragedMetrics
+from repro.graphs.datasets import PAPER_NUM_NODES, graph_family
 from repro.obs.sink import MemorySink
 
 SMOKE = get_profile("smoke")
@@ -59,9 +58,10 @@ def record_payload(record) -> str:
 class TestParallelEqualsSerial:
     def test_jobs4_metrics_bit_identical_and_records_match(self):
         serial_sink, parallel_sink = MemorySink(), MemorySink()
-        serial = ExperimentEngine(jobs=1).run_cells(CELLS, SMOKE, sink=serial_sink)
-        with ExperimentEngine(jobs=4) as engine:
-            parallel = engine.run_cells(CELLS, SMOKE, sink=parallel_sink)
+        with ExperimentEngine(jobs=1, sink=serial_sink) as engine:
+            serial = engine.run_cells(CELLS, SMOKE)
+        with ExperimentEngine(jobs=4, sink=parallel_sink) as engine:
+            parallel = engine.run_cells(CELLS, SMOKE)
             assert not engine.failures
         # Bit-identical averages: dataclass equality compares every
         # float exactly, no tolerance.
@@ -73,13 +73,15 @@ class TestParallelEqualsSerial:
 
     def test_repeated_grid_replays_identically(self):
         """The cell memo returns the same metrics and re-emits records."""
-        with ExperimentEngine(jobs=2) as engine:
-            first_sink, second_sink = MemorySink(), MemorySink()
-            first = engine.run_cells(CELLS, SMOKE, sink=first_sink)
-            second = engine.run_cells(CELLS, SMOKE, sink=second_sink)
+        sink = MemorySink()
+        with ExperimentEngine(jobs=2, sink=sink) as engine:
+            first = engine.run_cells(CELLS, SMOKE)
+            second = engine.run_cells(CELLS, SMOKE)
         assert first == second
-        assert [record_payload(r) for r in first_sink.records] == [
-            record_payload(r) for r in second_sink.records
+        half = len(sink.records) // 2
+        assert half > 0 and len(sink.records) == 2 * half
+        assert [record_payload(r) for r in sink.records[:half]] == [
+            record_payload(r) for r in sink.records[half:]
         ]
 
     def test_run_all_output_file_is_byte_identical(self, tmp_path, monkeypatch, capsys):
@@ -95,26 +97,8 @@ class TestParallelEqualsSerial:
         capsys.readouterr()
         assert outputs[0] == outputs[1]
 
-    def test_default_engine_is_serial(self):
-        engine = get_engine()
-        assert engine.jobs == 1 and not engine.parallel
-        # A fresh engine each time: no cell memo carries over between calls.
-        assert get_engine() is not engine
-
-    def test_use_engine_scopes_the_active_engine(self):
-        with ExperimentEngine(jobs=2) as engine:
-            with use_engine(engine):
-                assert get_engine() is engine
-            assert get_engine() is not engine
-
 
 class TestGraphSpec:
-    def test_profile_spec_matches_profile_build(self):
-        spec = GraphSpec.for_profile("G2", SMOKE, seed=1)
-        built, reference = spec.build(), SMOKE.build("G2", seed=1)
-        assert built.num_nodes == reference.num_nodes
-        assert list(built.arcs()) == list(reference.arcs())
-
     def test_worker_graph_cache_reuses_the_graph(self):
         from repro.experiments import parallel as par
 
@@ -137,11 +121,12 @@ class TestIndependentReference:
 
     def _direct_cell(self):
         """BTC on G2 over the paper's protocol, run by hand: one result per
-        (graph seed, source sample)."""
+        (graph seed, source sample), the graphs generated without GraphSpec."""
         query = QuerySpec.selection(3)
         results = []
         for graph_seed in range(self.PROFILE.graphs_per_family):
-            graph = self.PROFILE.build("G2", seed=graph_seed)
+            graph = graph_family("G2").generate(seed=graph_seed, num_nodes=PAPER_NUM_NODES,
+                                                scale=self.PROFILE.scale)
             for sample_index in range(self.PROFILE.source_samples):
                 results.append(make_algorithm("btc").run(
                     graph, query.materialise(graph, sample_index), SystemConfig()))
@@ -160,10 +145,10 @@ class TestIndependentReference:
 
         monkeypatch.setattr(ExperimentEngine, "map_units", spy)
         sink = MemorySink()
-        with ExperimentEngine(jobs=jobs) as engine:
+        with ExperimentEngine(jobs=jobs, sink=sink) as engine:
             (metrics,) = engine.run_cells(
                 [Cell("btc", "G2", QuerySpec.selection(3), SystemConfig())],
-                self.PROFILE, sink=sink)
+                self.PROFILE)
         assert metrics == AveragedMetrics.from_results("btc", reference)
         assert metrics.runs == 4
         # Units in (graph seed, sample) order, drawing the same sources...

@@ -24,7 +24,7 @@ from repro.obs.bench import build_bench_summary
 from repro.obs.compare import MetricGate, compare_runs
 from repro.obs.heatmap import page_heatmap, residency_timeline
 from repro.obs.record import SUPPORTED_SCHEMA_VERSIONS, RunRecord, summarise_trace
-from repro.obs.sink import MemorySink, set_global_sink
+from repro.obs.sink import MemorySink
 from repro.obs.spans import SpanRecorder
 from repro.obs.tracing import (
     EVENT_NAMES,
@@ -291,6 +291,22 @@ class TestHtmlReport:
         assert "Traceback" not in err
 
 
+    @pytest.mark.parametrize(
+        "entries",
+        ["[5]", '["x"]', "[null]", '[{"total_io": null}]', '[{"runs": null}]',
+         '[{"total_io": "abc"}]'],
+    )
+    def test_malformed_bench_entry_exits_two(self, entries, tmp_path, monkeypatch, capsys):
+        bench = tmp_path / "bench.json"
+        bench.write_text(entries)
+        monkeypatch.chdir(tmp_path)
+        assert main(["obs", "report", "--bench", str(bench)]) == 2
+        err = capsys.readouterr().err
+        (line,) = err.splitlines()
+        assert line.startswith(f"error: {bench}: entry 1: ")
+        assert "Traceback" not in err
+
+
 class TestSchemaVersioning:
     def _record(self):
         result = make_algorithm("btc").run(
@@ -320,19 +336,15 @@ class TestSchemaVersioning:
 class TestRepsAndNoiseGate:
     def _records(self, reps, jobs=1):
         """One full-closure BTC cell on G9/8, as the benchmark suite runs it:
-        the engine repeats each run, records reach the global sink."""
+        the engine repeats each run, records reach the engine's sink."""
         from repro.experiments.config import get_profile
         from repro.experiments.parallel import Cell, ExperimentEngine
         from repro.experiments.queries import QuerySpec
 
         sink = MemorySink()
-        previous_sink = set_global_sink(sink)
-        try:
-            with ExperimentEngine(jobs=jobs, reps=reps) as engine:
-                engine.run_cells([Cell("btc", "G9", QuerySpec.full(), SYSTEM)],
-                                 get_profile("smoke"))
-        finally:
-            set_global_sink(previous_sink)
+        with ExperimentEngine(jobs=jobs, reps=reps, sink=sink) as engine:
+            engine.run_cells([Cell("btc", "G9", QuerySpec.full(), SYSTEM)],
+                             get_profile("smoke"))
         return sink.records
 
     def test_reps_emit_one_record_each(self):
