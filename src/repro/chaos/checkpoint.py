@@ -13,9 +13,11 @@ each line is written whole, flushed, and fsynced before the engine
 moves on, and the journal never holds a half-cell; at worst the final
 line is truncated mid-write, which loading tolerates (with a warning)
 by discarding it.  Any other malformed line -- including a whole one,
-last or not, of another :data:`JOURNAL_SCHEMA_VERSION` or with a
-wrong-typed field -- raises :class:`~repro.errors.RecordFileError`
-naming ``file:line``.
+last or not, of another :data:`JOURNAL_SCHEMA_VERSION`, with a
+wrong-typed field or with the key of an earlier line -- raises
+:class:`~repro.errors.RecordFileError` naming ``file:line``.  The
+first cell journaled after a discarded cut line replaces it in the
+file, so the re-run cell is resumed next time.
 
 Resuming with the same journal replays each journaled cell -- the
 records go back out to the engine's sink in their canonical order and
@@ -67,12 +69,22 @@ class SweepJournal:
         self._cells: dict[str, tuple["AveragedMetrics", list[RunRecord]]] = {}
         self.appended = 0
         if self.path.exists():
-            for key, metrics, records in self._file.read(
-                _decode_cell, "journal",
+            self._file.read(
+                self._load_cell, "journal",
                 "corrupt checkpoint line (only the final line may be truncated)",
-            ):
-                self._cells[key] = (metrics, records)
+            )
         self.loaded = len(self._cells)
+
+    def _load_cell(self, data: Any) -> None:
+        """Take one journal line's cell; a key already loaded is damage.
+
+        :meth:`record` writes each key once, so a repeated key can only
+        come from a damaged file, and which copy to trust is unknowable.
+        """
+        key, metrics, records = _decode_cell(data)
+        if key in self._cells:
+            raise ValueError("the cell key of an earlier line repeats")
+        self._cells[key] = (metrics, records)
 
     # -- queries --------------------------------------------------------------
 

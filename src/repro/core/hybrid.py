@@ -116,12 +116,11 @@ class HybridAlgorithm(TwoPhaseAlgorithm):
             unpinned_lists.add(victim)
             if ctx.collector is not None:
                 ctx.collector.emit(EV_BLOCK_REBLOCK, detail=f"victim={victim}")
-            still_needed: set[PageId] = set()
-            for node in block:
-                if node not in unpinned_lists:
-                    still_needed.update(ctx.store.pages_of(node))
+            # A pinned page stays pinned while a live block list sits on
+            # it; the store's page directory says which lists do.
+            live = diagonal - unpinned_lists
             for page in list(pinned):
-                if page not in still_needed:
+                if live.isdisjoint(ctx.store.lists_on(page)):
                     if can_pin:
                         ctx.engine.unpin_page(page)
                     del pinned[page]

@@ -192,13 +192,11 @@ def _high_selectivity_figure(
     families: tuple[str, ...],
     selectivities: tuple[int, ...],
     buffer_pages: int,
-    algorithms: tuple[str, ...] = _HIGH_SEL_ALGOS,
 ) -> dict[str, FigureData]:
     panels: dict[str, FigureData] = {}
     for panel, family in zip("ab", families):
         xs, cells = _high_selectivity_cells(profile, engine, family, selectivities,
                                             buffer_pages)
-        cells = {name: cells[name] for name in algorithms}
         panels[panel] = FigureData(
             title=f"{figure_title} ({family})",
             x_label="s",

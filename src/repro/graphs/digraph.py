@@ -96,7 +96,9 @@ class Digraph:
     :class:`DigraphBuilder` or :meth:`from_arcs`.
     """
 
-    __slots__ = ("_offsets", "_targets", "_mv", "_rev")
+    # ``__weakref__`` lets the auditor remember which graphs it has
+    # checked without keeping them alive.
+    __slots__ = ("_offsets", "_targets", "_mv", "_rev", "__weakref__")
 
     def __init__(self, num_nodes: int) -> None:
         if num_nodes < 0:
@@ -104,7 +106,7 @@ class Digraph:
         self._offsets = array("q", bytes(8 * (num_nodes + 1)))
         self._targets = _EMPTY_TARGETS
         self._mv = memoryview(self._targets).toreadonly()
-        self._rev: tuple[array, array] | None = None
+        self._rev: Digraph | None = None
 
     # -- construction ------------------------------------------------------
 
@@ -166,9 +168,7 @@ class Digraph:
 
     def predecessors(self, node: int) -> ArcView:
         """The sorted immediate predecessors of ``node`` (computed lazily)."""
-        self._check(node)
-        roffsets, rmv = self._reverse_csr()
-        return ArcView(rmv[roffsets[node] : roffsets[node + 1]])
+        return self.reverse().successors(node)
 
     def out_degree(self, node: int) -> int:
         """Number of immediate successors of ``node``."""
@@ -177,9 +177,7 @@ class Digraph:
 
     def in_degree(self, node: int) -> int:
         """Number of immediate predecessors of ``node``."""
-        self._check(node)
-        roffsets, _ = self._reverse_csr()
-        return roffsets[node + 1] - roffsets[node]
+        return self.reverse().out_degree(node)
 
     def arcs(self) -> Iterator[tuple[int, int]]:
         """Iterate over all arcs in (source, destination) order."""
@@ -234,9 +232,30 @@ class Digraph:
         return lo < self._offsets[src + 1] and targets[lo] == dst
 
     def reverse(self) -> "Digraph":
-        """A new graph with every arc reversed."""
-        roffsets, rtargets = self._reverse_arrays()
-        return Digraph._from_csr(self.num_nodes, array("q", roffsets), array("q", rtargets))
+        """The graph with every arc reversed (predecessor rows), built once.
+
+        Both graphs are frozen, so every call returns the same reversed
+        graph.  A counting sort over the forward arcs: scattering
+        targets in (source asc, target asc) order leaves every reverse
+        row sorted.
+        """
+        if self._rev is None:
+            num_nodes = self.num_nodes
+            offsets, targets = self._offsets, self._targets
+            roffsets = array("q", bytes(8 * (num_nodes + 1)))
+            for dst in targets:
+                roffsets[dst + 1] += 1
+            for node in range(num_nodes):
+                roffsets[node + 1] += roffsets[node]
+            rtargets = array("q", bytes(8 * len(targets)))
+            cursor = array("q", roffsets[:num_nodes])
+            for src in range(num_nodes):
+                for position in range(offsets[src], offsets[src + 1]):
+                    dst = targets[position]
+                    rtargets[cursor[dst]] = src
+                    cursor[dst] += 1
+            self._rev = Digraph._from_csr(num_nodes, roffsets, rtargets)
+        return self._rev
 
     def induced_subgraph(self, nodes: Iterable[int]) -> "Digraph":
         """The subgraph induced by ``nodes``, keeping original node ids.
@@ -275,34 +294,6 @@ class Digraph:
             raise InvalidNodeError(
                 f"node {node} outside the graph's range 0..{len(self._offsets) - 2}"
             )
-
-    def _reverse_arrays(self) -> tuple[array, array]:
-        """The reverse CSR (predecessor rows), built once and cached.
-
-        A counting sort over the forward arcs: scattering targets in
-        (source asc, target asc) order leaves every reverse row sorted.
-        """
-        if self._rev is None:
-            num_nodes = self.num_nodes
-            offsets, targets = self._offsets, self._targets
-            roffsets = array("q", bytes(8 * (num_nodes + 1)))
-            for dst in targets:
-                roffsets[dst + 1] += 1
-            for node in range(num_nodes):
-                roffsets[node + 1] += roffsets[node]
-            rtargets = array("q", bytes(8 * len(targets)))
-            cursor = array("q", roffsets[:num_nodes])
-            for src in range(num_nodes):
-                for position in range(offsets[src], offsets[src + 1]):
-                    dst = targets[position]
-                    rtargets[cursor[dst]] = src
-                    cursor[dst] += 1
-            self._rev = (roffsets, rtargets)
-        return self._rev
-
-    def _reverse_csr(self) -> tuple[array, memoryview]:
-        roffsets, rtargets = self._reverse_arrays()
-        return roffsets, memoryview(rtargets).toreadonly()
 
 
 class DigraphBuilder:

@@ -43,7 +43,10 @@ class RecordFile:
     one compact, key-sorted JSON line, then flushed *and fsynced*
     before :meth:`append` returns: a crash -- even a power loss -- can
     at worst truncate the final line, never lose an acknowledged line
-    or interleave two.
+    or interleave two.  When this object's :meth:`read` discarded a cut
+    final line, the first append drops it from the file, and a final
+    line that parsed but has no newline gets one, so a new line never
+    joins an old one.
 
     **Reading.**  :meth:`read` decodes each line on its own, from
     bytes, with the caller's ``decode`` function, which checks every
@@ -59,6 +62,8 @@ class RecordFile:
         self.path = Path(path)
         self._handle: IO[str] | None = None
         self._pid = os.getpid()
+        self._cut_at: int | None = None  # where read() found a cut final line
+        self._unended = False  # read() found a whole final line with no newline
 
     def append(self, obj: Any) -> None:
         """Write ``obj`` as one JSON line and make it durable."""
@@ -70,7 +75,12 @@ class RecordFile:
         if self._handle is None:
             self._pid = os.getpid()
             self.path.parent.mkdir(parents=True, exist_ok=True)
+            if self._cut_at is not None:
+                os.truncate(self.path, self._cut_at)
             self._handle = self.path.open("a")
+            if self._unended:
+                self._handle.write("\n")
+            self._cut_at, self._unended = None, False
         line = json.dumps(obj, separators=(",", ":"), sort_keys=True, allow_nan=False)
         self._handle.write(line + "\n")
         self._make_durable(self._handle)
@@ -99,7 +109,9 @@ class RecordFile:
         ``refusal`` starts the :class:`~repro.errors.RecordFileError`
         message of a malformed line that is not the last.
         """
-        lines = self.path.read_bytes().splitlines()
+        data = self.path.read_bytes()
+        lines = data.splitlines(keepends=True)
+        self._unended = not data.endswith((b"\n", b"\r")) and bool(data.strip())
         decoded: list[T] = []
         for number, line in enumerate(lines, start=1):
             if not line.strip():
@@ -113,6 +125,7 @@ class RecordFile:
                         f"final {kind} line ({type(exc).__name__})",
                         file=sys.stderr,
                     )
+                    self._cut_at, self._unended = len(data) - len(line), False
                     continue
                 raise RecordFileError(f"{self.path}:{number}: {refusal}: {exc}") from exc
             try:

@@ -353,22 +353,28 @@ class BufferPool:
 
         Exactly as many :meth:`access` calls would: the same counters,
         trace events, evictions and fault opportunities, page by page.
-        The phase is read once: it only changes between pool calls.
+        The call's hits are counted once, on the way out, so a fault
+        that stops the batch still leaves requests = hits + reads; the
+        phase only changes between pool calls.
         """
-        stats = self.stats
-        requests, hits, phase = stats.requests, stats.hits, stats.phase
         frames = self._frames
         note_access = self._note_access
         collector = self.collector
-        for page in pages:
-            if page in frames:
-                requests[phase] += 1
-                hits[phase] += 1
-                note_access(page)
-                if collector is not None:
-                    collector.emit(EV_PAGE_HIT, page.kind.value, page.number)
-            else:
-                self._fault_in(page, False)
+        hits = 0
+        try:
+            for page in pages:
+                if page in frames:
+                    hits += 1
+                    note_access(page)
+                    if collector is not None:
+                        collector.emit(EV_PAGE_HIT, page.kind.value, page.number)
+                else:
+                    self._fault_in(page, False)
+        finally:
+            if hits:
+                stats = self.stats
+                stats.requests[stats.phase] += hits
+                stats.hits[stats.phase] += hits
 
     def create(self, page: PageId) -> None:
         """Materialise a brand-new page directly in the pool.

@@ -44,6 +44,7 @@ from __future__ import annotations
 
 import os
 from abc import ABC, abstractmethod
+from collections.abc import Collection
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
 from repro.errors import ConfigurationError
@@ -159,6 +160,10 @@ class ListStore(ABC):
     @abstractmethod
     def page_count(self, node: int) -> int:
         """How many pages ``node``'s list spans."""
+
+    @abstractmethod
+    def lists_on(self, page: PageId) -> Collection[int]:
+        """The lists with a block on ``page`` (no I/O charged)."""
 
     @abstractmethod
     def __contains__(self, node: int) -> bool: ...

@@ -122,6 +122,9 @@ class FastListStore(ListStore):
     def page_count(self, node: int) -> int:
         return 0
 
+    def lists_on(self, page: PageId) -> tuple[int, ...]:
+        return ()
+
 
 def _refusal(plane: str, reason: str) -> EngineCapabilityError:
     """The structured refusal of an explicitly requested ``plane``."""

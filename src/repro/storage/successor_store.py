@@ -27,6 +27,7 @@ run at bitset speed while page touches stay faithful.
 from __future__ import annotations
 
 import enum
+from collections.abc import Collection
 from dataclasses import dataclass, field
 
 from repro.chaos.faults import FaultKind, FaultPlan, active_plan
@@ -130,6 +131,10 @@ class SuccessorListStore:
         layout = self._layouts.get(node)
         return len(layout.pages) if layout is not None else 0
 
+    def lists_on(self, page: PageId) -> Collection[int]:
+        """The lists with a block on ``page`` (read-only, no I/O charged)."""
+        return self._lists_on_page.get(page.number, ())
+
     # -- lifecycle -------------------------------------------------------------
 
     def create_list(self, node: int, initial_entries: int = 0) -> None:
@@ -199,41 +204,54 @@ class SuccessorListStore:
         return layout
 
     def _extend(self, node: int, layout: _ListLayout, count: int) -> None:
+        """Fill the tail block, then place new blocks a run at a time.
+
+        A run is the blocks that land on one page: the first touches the
+        page (through the placement policy), and the run's further
+        touches are charged in one pool call -- the page is resident and
+        dirty from its first touch, so each is a hit, exactly as one
+        ``access(page, dirty=True)`` per block would charge it.
+        """
         plan = active_plan()
-        remaining = count
-        # Fill the tail block first.
-        if layout.blocks:
-            tail = layout.blocks[-1]
-            room = self.block_capacity - tail[1]
-            if room > 0:
-                take = min(room, remaining)
-                if plan is not None:
-                    self._check_torn_write(plan, node, tail[0])
-                tail[1] += take
-                remaining -= take
-                self.pool.access(self._page_ids[tail[0]], dirty=True)
-        while remaining > 0:
-            page = self._page_for_new_block(node, layout)
+        capacity = self.block_capacity
+        blocks = layout.blocks
+        if blocks and blocks[-1][1] < capacity:
+            tail = blocks[-1]
             if plan is not None:
-                self._check_torn_write(plan, node, page)
-            take = min(self.block_capacity, remaining)
-            layout.blocks.append([page, take])
+                self._check_torn_write(plan, node, tail[0])
+            take = min(capacity - tail[1], count)
+            tail[1] += take
+            layout.length += take
+            count -= take
+            self.pool.access(self._page_ids[tail[0]], dirty=True)
+        while count > 0:
+            page = self._page_for_new_block(node, layout)
             page_id = self._page_ids[page]
+            run = min(self._free_blocks[page], -(-count // capacity))
+            if plan is not None:
+                for _ in range(run):
+                    self._check_torn_write(plan, node, page)
+            if run > 1:
+                self.pool.access_pages([page_id] * (run - 1))
+                blocks.extend([[page, capacity] for _ in range(run - 1)])
+            take = min(count, run * capacity)
+            blocks.append([page, take - (run - 1) * capacity])
             if page_id not in layout.pages:
                 layout.pages.append(page_id)
-            self._free_blocks[page] -= 1
+            self._free_blocks[page] -= run
             self._lists_on_page[page].add(node)
-            remaining -= take
-        layout.length += count
+            layout.length += take
+            count -= take
 
     def _check_torn_write(self, plan: FaultPlan, node: int, page: int) -> None:
         """Fault site: one successor-block write (chaos plane).
 
-        Called per block only while a plan is armed.  The check sits
-        *before* the layout mutation, so an injected torn write leaves
-        the store's accounting exactly as it was -- the injury is
-        detected, not silently absorbed -- and a strict audit after the
-        failure still passes.
+        Called once per block, only while a plan is armed: before the
+        tail fill, and for every block of a run before any block of that
+        run is written.  An injected torn write therefore leaves no block
+        of its run in the store, and the list's length counts exactly
+        the blocks written before it: the injury is detected, not
+        silently absorbed, and an audit after the failure still passes.
         """
         event = plan.fire(FaultKind.TORN_WRITE)
         if event is not None:

@@ -2,6 +2,7 @@
 
 import math
 import os
+from array import array
 
 import pytest
 
@@ -15,6 +16,7 @@ from repro.chaos.faults import (
     use_fault_plan,
 )
 from repro.cli import main
+from repro.core.context import ExecutionContext
 from repro.core.query import Query, SystemConfig
 from repro.core.registry import make_algorithm
 from repro.errors import (
@@ -33,9 +35,13 @@ from repro.experiments.parallel import (
     execute_unit,
 )
 from repro.experiments.queries import QuerySpec
+from repro.graphs.datasets import build_graph
+from repro.graphs.digraph import Digraph
 from repro.obs.record import RunRecord
 from repro.storage.buffer import BufferPool
+from repro.storage.iostats import IoStats
 from repro.storage.page import PageId, PageKind
+from repro.storage.relation import ArcRelation
 from repro.storage.successor_store import ListPlacementPolicy, SuccessorListStore
 
 
@@ -240,13 +246,25 @@ class TestFaultSites:
         assert evicted == 2
         assert pages[0] in pool
 
-    def test_torn_write_leaves_store_auditable(self, small_dag, monkeypatch):
-        """A detected torn write must not corrupt the layout accounting."""
+    def test_torn_write_leaves_store_auditable(self, monkeypatch):
+        """A detected torn write must not corrupt the layout accounting.
+
+        Wherever the write tears -- a tail fill, the first block of a
+        run or a later one, a relocated list's re-extension -- every
+        list's length must still count exactly the blocks written, so
+        the whole end-of-run sweep passes on the state the error left.
+        """
         monkeypatch.setenv("REPRO_AUDIT", "strict")
-        with use_fault_plan(FaultPlan.parse("torn-write,after=20")):
-            with pytest.raises(TornWriteError):
-                _run_btc(small_dag)
-        # No InvariantViolation: the fault fired before any mutation.
+        graph = build_graph("G6", seed=0, scale=8)
+        for policy in ListPlacementPolicy:
+            for after in range(1, 400, 7):
+                ctx = ExecutionContext(graph, Query.full(), SystemConfig(list_policy=policy))
+                algorithm = make_algorithm("btc")
+                with use_fault_plan(FaultPlan.parse(f"torn-write,after={after}")):
+                    with pytest.raises(TornWriteError):
+                        algorithm.restructure(ctx)
+                        algorithm.compute(ctx)
+                ctx.auditor.audit_run(ctx)
 
 
 class TestUnitBoundary:
@@ -375,6 +393,64 @@ class TestAuditor:
         store._page_ids[0] = PageId(PageKind.SUCCESSOR, 0)
         with pytest.raises(InvariantViolation, match="store.page-list"):
             InvariantAuditor().check_store(store)
+
+    # Each test below corrupts one piece of state and expects the named
+    # invariant; each fails when that check is deleted from the auditor.
+
+    @pytest.mark.parametrize(
+        "offsets, targets, invariant",
+        [
+            ([1, 0, 2, 3], [0, 2, 2], "relation.clustering"),  # empty row 0 ends before it starts
+            ([0, 2, 3, 3], [2, 1, 2], "relation.index-order"),  # row 0 is not sorted
+        ],
+        ids=["clustering", "index-order"],
+    )
+    def test_bad_csr_detected_on_its_first_audit(self, offsets, targets, invariant):
+        auditor = InvariantAuditor()
+        healthy = Digraph._from_csr(3, array("q", [0, 2, 3, 3]), array("q", [1, 2, 2]))
+        auditor.check_relation(ArcRelation(healthy))
+        graph = Digraph._from_csr(3, array("q", offsets), array("q", targets))
+        with pytest.raises(InvariantViolation, match=invariant):
+            auditor.check_relation(ArcRelation(graph))
+
+    @pytest.mark.parametrize("invariant", ["relation.clustering", "relation.index-order"])
+    def test_bad_inverse_relation_detected_through_jkb2(self, small_dag, invariant):
+        """JKB2's inverse relation lays out the graph's one cached reverse."""
+        reverse = small_dag.reverse()
+        offsets, targets = reverse._offsets, reverse._targets
+        if invariant == "relation.clustering":
+            # Node 0 has no predecessors, so its empty row stays empty.
+            assert small_dag.in_degree(0) == 0
+            offsets[0] = 1
+        else:
+            node = next(v for v in small_dag.nodes() if small_dag.in_degree(v) >= 2)
+            start = offsets[node]
+            targets[start], targets[start + 1] = targets[start + 1], targets[start]
+        with pytest.raises(InvariantViolation, match=invariant):
+            make_algorithm("jkb2").run(small_dag, Query.full())
+
+    @pytest.mark.parametrize("damage", ["stale", "missing"])
+    def test_page_directory_must_equal_the_blocks(self, damage):
+        store = SuccessorListStore(BufferPool(4), blocks_per_page=2, block_capacity=2)
+        store.create_list(0, 3)  # both blocks of page 0
+        store.create_list(1, 2)  # one block of page 1
+        InvariantAuditor().check_store(store)
+        if damage == "stale":
+            store._lists_on_page[1].add(0)  # list 0 has no block on page 1
+        else:
+            store._lists_on_page[1].discard(1)
+        with pytest.raises(InvariantViolation, match="store.page-directory"):
+            InvariantAuditor().check_store(store)
+
+    def test_request_split_detected(self):
+        io = IoStats()
+        io.requests[io.phase] += 2
+        io.hits[io.phase] += 1
+        io.record_read(PageKind.SUCCESSOR)
+        InvariantAuditor().check_counters(io)
+        io.requests[io.phase] += 1  # a request that was neither a hit nor a read
+        with pytest.raises(InvariantViolation, match="counters.request-split"):
+            InvariantAuditor().check_counters(io)
 
     def test_violation_names_invariant_and_context(self):
         error = InvariantViolation("pool.residency", "too many pages",

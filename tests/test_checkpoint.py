@@ -183,6 +183,34 @@ class TestJournal:
         assert survivor.loaded == 2
         assert "cell-c" not in survivor
 
+    def test_a_whole_final_line_without_newline_keeps_its_cell(self, tmp_path):
+        path = tmp_path / "sweep.journal"
+        with SweepJournal(path) as journal:
+            journal.record("cell-a", _metrics(), _records())
+        path.write_bytes(path.read_bytes().rstrip(b"\n"))
+        with SweepJournal(path) as journal:
+            assert journal.loaded == 1
+            journal.record("cell-b", _metrics(), _records())
+        survivor = SweepJournal(path)
+        assert survivor.loaded == 2 and "cell-a" in survivor and "cell-b" in survivor
+
+    def test_a_repeated_key_names_its_second_line(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "sweep.journal"
+        with SweepJournal(path) as journal:
+            journal.record("cell-a", _metrics(), _records())
+            journal.record("cell-b", _metrics(), _records())
+            journal.record("cell-c", _metrics(), _records())
+        lines = path.read_text().splitlines()
+        lines[2] = json.dumps({**json.loads(lines[2]), "key": "cell-a"})
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(RecordFileError, match=rf"{re.escape(str(path))}:3: .*repeats"):
+            SweepJournal(path)
+        monkeypatch.chdir(tmp_path)
+        assert main(["--profile", "smoke", "--only", "figure6",
+                     "--resume", "sweep.journal", "--no-file"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "sweep.journal:3:" in err
+
     def test_cell_key_is_canonical(self):
         key = cell_key("btc", "G4", None, {"buffer_pages": 20}, {"name": "smoke"})
         assert key == cell_key("btc", "G4", None, {"buffer_pages": 20},
@@ -228,6 +256,32 @@ class TestResume:
         assert main(["--profile", "smoke", "--only", "figure8",
                      "--resume", "sweep.journal", "--no-file"]) == 0
         assert (tmp_path / "sweep.journal").stat().st_size == size
+
+    @pytest.mark.parametrize("cut", ["line-10", "last-line"])
+    def test_a_cell_cut_mid_append_is_resumed_after_its_rerun(
+        self, tmp_path, monkeypatch, capsys, cut
+    ):
+        """A kill mid-append leaves half a line; the resume that re-runs
+        its cell must not write onto that half, so the next resume finds
+        every cell whole."""
+        monkeypatch.chdir(tmp_path)
+        args = ["--profile", "smoke", "--only", "figure6", "--no-file",
+                "--resume", "sweep.journal"]
+        assert main(args) == 0
+        journal = tmp_path / "sweep.journal"
+        lines = journal.read_bytes().splitlines(keepends=True)
+        cells = len(lines)
+        at = 9 if cut == "line-10" else cells - 1
+        journal.write_bytes(b"".join(lines[:at]) + lines[at][: len(lines[at]) // 2])
+        capsys.readouterr()
+        assert main(args) == 0
+        first = capsys.readouterr()
+        assert f"sweep.journal:{at + 1}: discarding truncated final journal line" in first.err
+        assert f"{at} cell(s) resumed, {cells - at} appended" in first.out
+        assert main(args) == 0
+        second = capsys.readouterr()
+        assert second.err == ""
+        assert f"{cells} cell(s) resumed, 0 appended" in second.out
 
     def test_truncated_journal_still_resumes(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -72,6 +72,16 @@ class TestTransforms:
         graph = Digraph.from_arcs(5, [(0, 1), (0, 4), (2, 3), (3, 4)])
         assert graph.reverse().reverse() == graph
 
+    def test_reverse_is_built_once(self):
+        """Every call hands out the same frozen reverse, whose rows are
+        the graph's predecessor rows."""
+        graph = Digraph.from_arcs(4, [(0, 2), (1, 2), (2, 3)])
+        assert graph.reverse() is graph.reverse()
+        assert [list(graph.reverse().successors(node)) for node in graph.nodes()] == [
+            list(graph.predecessors(node)) for node in graph.nodes()
+        ]
+        assert graph.in_degree(2) == 2
+
     def test_induced_subgraph_keeps_ids_and_filters_arcs(self):
         graph = Digraph.from_arcs(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
         sub = graph.induced_subgraph({1, 2, 4})
